@@ -17,9 +17,10 @@
 #
 # * The third problem's reference solution does not actually satisfy its
 #   stated equation (run residual_check(example3()) - the pointwise
-#   residual is ~9).  Errors measured against it therefore saturate at the
-#   model discrepancy instead of decreasing; the study reports this
-#   honestly rather than reproducing the published table.
+#   residual is ~9).  Errors measured against it therefore grow under
+#   refinement instead of decreasing (1.9e-2, 8.0e-2, 1.25e-1, 1.50e-1 at
+#   levels 2-5); the study reports this honestly rather than reproducing
+#   the published table.
 #
 # Usage: python demos/03_convergence_tables.py
 

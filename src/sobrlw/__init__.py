@@ -5,7 +5,7 @@ leapfrog/trapezoidal time stepping, pentadiagonal line solves, and a
 benchmark harness for convergence studies and discrete-identity checks.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (BlowUpError, ConfigurationError, FrameError,
                      GridMismatchError, NumericalError, PicardError,
@@ -17,8 +17,8 @@ from .harness import (ConvergenceRow, RunManifest, VerifyReport,
 from .norms import (NormReport, RunningMax, SbpResiduals, directional_energy,
                     h2_norm, inner, l2_norm, sbp_residuals)
 from .penta import (DominanceWarning, PentaBands, PentaFactorization,
-                    TensorLineSolver, assemble_line_operator,
-                    boundary_moveout, factor, multiply_line, solve_line)
+                    TensorLineSolver, assemble_line_operator, factor,
+                    multiply_line, solve_line)
 from .problems import (ProblemSpec, ResidualCheck, example1, example2,
                        example3, get_problem, manufactured, residual_check)
 from .scheme import (SchemeConfig, SchemeState, SolutionRecord,

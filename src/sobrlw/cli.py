@@ -35,7 +35,11 @@ def _read_config_file(path: str) -> dict:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return {k.replace("-", "_"): v for k, v in json.loads(text).items()}
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"malformed JSON config: {exc}") from None
+        return {k.replace("-", "_"): v for k, v in data.items()}
     out = {}
     for line in text.splitlines():
         line = line.strip()
@@ -101,7 +105,13 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
     """Config-file values fill in anything the command line left unset."""
     merged = dict(defaults)
     if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config))
+        from_file = _read_config_file(args.config)
+        known = set(vars(args)) - {"command", "config"}
+        unknown = sorted(set(from_file) - known)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown config key(s) {unknown}; known: {sorted(known)}")
+        merged.update(from_file)
     for key, val in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -110,10 +120,20 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
     return merged
 
 
+def _number(kind, key: str, value):
+    """value as an int or float; anything else is a configuration error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"{key} must be {'an integer' if kind is int else 'a number'}, "
+            f"got {value!r}") from None
+
+
 def _scheme_config(opts: dict) -> SchemeConfig:
     k = opts.get("k", "auto")
-    if isinstance(k, str) and k != "auto":
-        k = float(k)
+    if k != "auto":
+        k = _number(float, "k", k)
     boundary = str(opts.get("boundary", "exact")).replace("-", "_")
     return SchemeConfig(
         stepper=str(opts.get("stepper", "coupled")),
@@ -125,29 +145,37 @@ def _scheme_config(opts: dict) -> SchemeConfig:
 
 def _parse_levels(spec) -> list:
     if isinstance(spec, (list, tuple)):
-        return [int(v) for v in spec]
+        return [_number(int, "levels", v) for v in spec]
     text = str(spec)
     if ".." in text:
         a, b = text.split("..", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(tok) for tok in text.replace(",", " ").split()]
+        return list(range(_number(int, "levels", a), _number(int, "levels", b) + 1))
+    return [_number(int, "levels", tok) for tok in text.replace(",", " ").split()]
 
 
 def _get_problem(opts: dict):
     return get_problem(str(opts.get("problem", "example1")),
-                       alpha=float(opts.get("alpha", 1.0)),
-                       beta=float(opts.get("beta", 0.0)),
-                       gamma=float(opts.get("gamma", 1.0)))
+                       alpha=_number(float, "alpha", opts.get("alpha", 1.0)),
+                       beta=_number(float, "beta", opts.get("beta", 0.0)),
+                       gamma=_number(float, "gamma", opts.get("gamma", 1.0)))
+
+
+def _final_time(opts: dict, problem) -> float:
+    return _number(float, "T", opts["T"]) if opts.get("T") is not None else problem.T
 
 
 def _cmd_solve(opts: dict) -> int:
     problem = _get_problem(opts)
-    M = int(opts.get("M", 16))
+    M = _number(int, "M", opts.get("M", 16))
     grid = make_grid(problem.L1, problem.L2, problem.L3, problem.L4, M)
     cfg = _scheme_config(opts)
-    T = float(opts["T"]) if opts.get("T") is not None else problem.T
+    T = _final_time(opts, problem)
     dump = opts.get("dump_at")
-    dump_times = [float(dump[0])] if dump else []
+    if isinstance(dump, str):
+        dump = dump.split()
+    if dump is not None and not (isinstance(dump, (list, tuple)) and len(dump) == 2):
+        raise ConfigurationError(f"dump_at needs a time and a CSV path, got {dump!r}")
+    dump_times = [_number(float, "dump_at", dump[0])] if dump else []
     rec = run(problem, grid, cfg, T=T, dump_times=dump_times)
     if rec.failed:
         print(f"run failed: {rec.failure}", file=sys.stderr)
@@ -168,7 +196,7 @@ def _cmd_solve(opts: dict) -> int:
             fh.write("\n".join(lines) + "\n")
         outputs.append(path)
     if dump:
-        t_req = float(dump[0])
+        t_req = dump_times[0]
         if t_req in rec.snapshots:
             t_actual, fld = rec.snapshots[t_req]
             emit_solution_csv(rec, problem, t_actual, fld, dump[1])
@@ -189,7 +217,7 @@ def _cmd_convergence(opts: dict) -> int:
     problem = _get_problem(opts)
     levels = _parse_levels(opts.get("levels", "2..4"))
     cfg = _scheme_config(opts)
-    T = float(opts["T"]) if opts.get("T") is not None else problem.T
+    T = _final_time(opts, problem)
     rows = convergence_study(problem, levels, cfg, T=T)
     print(f"{'h':>12} {'k':>12} {'norm_u':>13} {'norm_U':>13} {'error':>13} {'rate':>8}")
     for r in rows:
@@ -215,8 +243,8 @@ def _cmd_convergence(opts: dict) -> int:
 
 
 def _cmd_verify(opts: dict) -> int:
-    M = int(opts.get("M", 12))
-    seed = int(opts.get("seed", 0))
+    M = _number(int, "M", opts.get("M", 12))
+    seed = _number(int, "seed", opts.get("seed", 0))
     report = verify_suite(M=M, seed=seed)
     for line in report.lines():
         print(line)

@@ -350,8 +350,6 @@ def make_manifest(command: str, problem: str, levels, cfg: SchemeConfig,
         config={"stepper": cfg.stepper, "rhs_sign": cfg.rhs_sign,
                 "leapfrog_alpha": cfg.leapfrog_alpha,
                 "boundary_mode": cfg.boundary_mode,
-                "picard_tol": cfg.picard_tol,
-                "picard_max_iters": cfg.picard_max_iters,
                 "k_rule": cfg.k_rule},
         T=T, package_version=__version__,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),

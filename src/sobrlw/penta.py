@@ -62,13 +62,11 @@ class PentaBands:
         return A
 
 
-def line_coefficients(h: float, alpha: float, beta: float, gamma: float,
-                      theta: float) -> np.ndarray:
-    """Stencil coefficients of  I - alpha*wide_second - theta*(gamma*wide_second - beta*wide_first)."""
-    w2 = (alpha + theta * gamma) / (12.0 * h * h)
-    out = -w2 * WIDE_SECOND_W + (theta * beta / (12.0 * h)) * WIDE_FIRST_W
-    out[2] += 1.0
-    return out
+def stencil_coefficients(h: float, alpha: float, beta: float, gamma: float,
+                         theta: float) -> np.ndarray:
+    """Stencil of  -alpha*wide_second - theta*(gamma*wide_second - beta*wide_first)  (no identity)."""
+    return (-(alpha + theta * gamma) / (12.0 * h * h)) * WIDE_SECOND_W \
+        + (theta * beta / (12.0 * h)) * WIDE_FIRST_W
 
 
 def assemble_line_operator(grid: Grid2D, axis: Axis, alpha: float, beta: float,
@@ -81,7 +79,8 @@ def assemble_line_operator(grid: Grid2D, axis: Axis, alpha: float, beta: float,
     if theta < 0:
         raise ConfigurationError(f"theta must be nonnegative, got {theta}")
     h = grid.hx if axis is Axis.X else grid.hy
-    c = line_coefficients(h, alpha, beta, gamma, theta)
+    c = stencil_coefficients(h, alpha, beta, gamma, theta)
+    c[2] += 1.0
     bands = PentaBands(*c, n=grid.n_interior)
     if warn and bands.dominance_margin <= 0.0:
         off = abs(c[0]) + abs(c[1]) + abs(c[3]) + abs(c[4])
@@ -166,25 +165,6 @@ def multiply_line(bands: PentaBands, x: np.ndarray) -> np.ndarray:
         out[2:] += bands.c_mm * x[:-2]
         out[:-2] += bands.c_pp * x[2:]
     return out
-
-
-def boundary_moveout(bands: PentaBands, left, right) -> np.ndarray:
-    """Right-hand-side correction for known boundary layers.
-
-    left  = (U_0, U_1): the two known layers below the first unknown,
-    right = (U_{M-1}, U_M): the two above the last.  Values may be scalars
-    or arrays (one entry per line of a batched solve).
-    """
-    lo0, lo1 = (np.asarray(v, dtype=float) for v in left)
-    hi1, hi = (np.asarray(v, dtype=float) for v in right)
-    shape = (bands.n,) + np.broadcast(lo0, lo1, hi1, hi).shape
-    c = np.zeros(shape)
-    c[0] -= bands.c_mm * lo0 + bands.c_m * lo1
-    if bands.n >= 2:
-        c[1] -= bands.c_mm * lo1
-        c[-2] -= bands.c_pp * hi1
-    c[-1] -= bands.c_p * hi1 + bands.c_pp * hi
-    return c
 
 
 def symmetric_eigendecomposition(bands: PentaBands):

@@ -38,9 +38,10 @@ either from the reference solution ("exact") or by the copy rule
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field as dc_field, replace
-from typing import Optional
+import math
+from dataclasses import dataclass, field as dc_field
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,14 +49,17 @@ from .errors import BlowUpError, ConfigurationError, PicardError
 from .grid import Field, Grid2D, TimeGrid, sample
 from .norms import RunningMax, h2_norm, l2_norm
 from .penta import (PentaBands, TensorLineSolver, assemble_line_operator,
-                    boundary_moveout, factor, solve_line)
+                    factor, solve_line, stencil_coefficients)
 from .problems import ProblemSpec
-from .stencils import (Axis, WIDE_FIRST_W, WIDE_SECOND_W,
-                       wide_first_values)
+from .stencils import Axis, axis_first, five_point, wide_first_values
 
 STEPPERS = ("coupled", "split")
 RHS_SIGNS = ("derived", "paper")
 BOUNDARY_MODES = ("exact", "paper_copy")
+# A fixed-point iteration (implicit source, transport lag) stops once its
+# update is at most PICARD_TOL * (1 + max|iterate|).
+PICARD_TOL = 1e-12
+PICARD_MAX_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,6 @@ class SchemeConfig:
     rhs_sign: str = "derived"
     leapfrog_alpha: str = "on"
     boundary_mode: str = "exact"
-    picard_tol: float = 1e-12
-    picard_max_iters: int = 50
     k_rule: object = "auto"     # "auto" or an explicit time step (float)
 
     def __post_init__(self):
@@ -77,20 +79,15 @@ class SchemeConfig:
             raise ConfigurationError("leapfrog_alpha must be 'on' or 'off'")
         if self.boundary_mode not in BOUNDARY_MODES:
             raise ConfigurationError(f"boundary_mode must be one of {BOUNDARY_MODES}")
-        if self.picard_tol <= 0 or self.picard_max_iters < 1:
-            raise ConfigurationError("picard_tol must be > 0 and picard_max_iters >= 1")
 
 
 @dataclass
 class StepDiagnostics:
-    picard_iterations: list = dc_field(default_factory=list)
-    max_update: float = 0.0
-    wall_times: list = dc_field(default_factory=list)
+    """Iterations per sub-step: fixed-point iterations of the trapezoidal
+    half-steps with an implicit source, transport-lag iterations of the chain
+    steps (1 without transport), 0 for the explicit leapfrog."""
 
-    def record(self, iterations: int, update: float, wall: float) -> None:
-        self.picard_iterations.append(iterations)
-        self.max_update = max(self.max_update, update)
-        self.wall_times.append(wall)
+    picard_iterations: list = dc_field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -111,6 +108,8 @@ def time_step_rule(hx: float, hy: float) -> float:
 
 def make_time_grid(T: float, k_raw: float) -> TimeGrid:
     """Round k so an integer number of steps lands exactly on T."""
+    if not (math.isfinite(T) and math.isfinite(k_raw)):
+        raise ConfigurationError(f"T and k must be finite, got T={T}, k={k_raw}")
     if k_raw <= 0:
         raise ConfigurationError(f"time step must be positive, got {k_raw}")
     N = max(1, round(T / k_raw))
@@ -156,21 +155,45 @@ def fill_boundary_layers(values: np.ndarray, t: float, problem: ProblemSpec,
     raise ConfigurationError(f"unknown boundary mode {mode!r}")
 
 
-def _dir_coeffs(h: float, a: float, beta: float, gamma: float, theta: float) -> np.ndarray:
-    """Stencil of  -(a + theta*gamma)*wide_second + theta*beta*wide_first  (no identity)."""
-    return (-(a + theta * gamma) / (12.0 * h * h)) * WIDE_SECOND_W \
-        + (theta * beta / (12.0 * h)) * WIDE_FIRST_W
+def _fixed_point(x: np.ndarray, step: Callable, what: str, t: float):
+    """Iterate x <- step(x) to a fixed point; return it and the iteration count."""
+    trace = []
+    for _ in range(PICARD_MAX_ITERS):
+        new = step(x)
+        upd = float(np.abs(new - x).max())
+        trace.append(upd)
+        x = new
+        if upd <= PICARD_TOL * (1.0 + float(np.abs(new).max())):
+            return x, len(trace)
+    raise PicardError(f"{what} did not converge at t={t:g} "
+                      f"(last updates {trace[-3:]})", trace=trace)
 
 
-def _toeplitz(c: np.ndarray, n: int) -> np.ndarray:
-    A = np.zeros((n, n))
-    for off, v in zip(range(-2, 3), c):
-        A += v * np.eye(n, k=off)
-    return A
+class _Operator(NamedTuple):
+    """One kind of sub-step: (I + lhs) V = rhs(U_old) + ...
+
+    lhs and rhs are (x, y) pairs of identity-free five-point stencils, None
+    where a direction is absent; solve(b, guess, t) returns the interior
+    values and an iteration count.
+    """
+
+    lhs: tuple
+    rhs: tuple
+    solve: Callable
 
 
 class _Engine:
-    """Precomputed machinery for one (problem, grid, cfg, k) combination."""
+    """Precomputed machinery for one (problem, grid, cfg, k) combination.
+
+    Every sub-step fills the boundary layers of the new level, moves the
+    frame to the right-hand side as rhs - lhs(frame), solves for the
+    interior, and iterates an implicit source to a fixed point.  A
+    subclass per stepper builds its operators in _build and defines
+
+        startup(U^0) -> U^{1/2}
+        half_update(U^{n-1/2}, U^n, t_n) -> U^{n+1/2}
+        int_update(U^n, U^{n+1/2}, t_{n+1/2}) -> U^{n+1}
+    """
 
     def __init__(self, problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig, k: float):
         if grid.n_interior < 1:
@@ -179,16 +202,12 @@ class _Engine:
         self.grid = grid
         self.cfg = cfg
         self.k = k
-        self.M = grid.M
         self.n = grid.n_interior
         self.X, self.Y = grid.mesh()
         self.s = +1.0 if cfg.rhs_sign == "derived" else -1.0
         self.a_mass = problem.alpha if cfg.leapfrog_alpha == "on" else 1.0
         self.diagnostics = StepDiagnostics()
-        if cfg.stepper == "coupled":
-            self._build_coupled()
-        else:
-            self._build_split()
+        self._build()
 
     # -- shared helpers ----------------------------------------------------
 
@@ -196,28 +215,14 @@ class _Engine:
         s = self.grid.interior
         return values[s, s]
 
-    def _apply_dir(self, cx: np.ndarray, cy: np.ndarray, U: np.ndarray) -> np.ndarray:
+    def _apply(self, U: np.ndarray, cx=None, cy=None) -> np.ndarray:
         """Directional five-point sums of a full field, on the interior block."""
-        M = self.M
-        V = (cx[0] * U[0:M - 3, 2:M - 1] + cx[1] * U[1:M - 2, 2:M - 1]
-             + cx[2] * U[2:M - 1, 2:M - 1] + cx[3] * U[3:M, 2:M - 1]
-             + cx[4] * U[4:M + 1, 2:M - 1])
-        W = (cy[0] * U[2:M - 1, 0:M - 3] + cy[1] * U[2:M - 1, 1:M - 2]
-             + cy[2] * U[2:M - 1, 2:M - 1] + cy[3] * U[2:M - 1, 3:M]
-             + cy[4] * U[2:M - 1, 4:M + 1])
-        return V + W
-
-    def _apply_x(self, cx: np.ndarray, U: np.ndarray) -> np.ndarray:
-        M = self.M
-        return (cx[0] * U[0:M - 3, :] + cx[1] * U[1:M - 2, :]
-                + cx[2] * U[2:M - 1, :] + cx[3] * U[3:M, :]
-                + cx[4] * U[4:M + 1, :])[:, 2:M - 1]
-
-    def _apply_y(self, cy: np.ndarray, U: np.ndarray) -> np.ndarray:
-        M = self.M
-        return (cy[0] * U[:, 0:M - 3] + cy[1] * U[:, 1:M - 2]
-                + cy[2] * U[:, 2:M - 1] + cy[3] * U[:, 3:M]
-                + cy[4] * U[:, 4:M + 1])[2:M - 1, :]
+        s = self.grid.interior
+        if cy is None:
+            return five_point(U[:, s], cx, Axis.X)
+        if cx is None:
+            return five_point(U[s, :], cy, Axis.Y)
+        return five_point(U[:, s], cx, Axis.X) + five_point(U[s, :], cy, Axis.Y)
 
     def f_total(self, t: float, U: np.ndarray) -> np.ndarray:
         ux = wide_first_values(U, self.grid.hx, Axis.X)
@@ -234,186 +239,161 @@ class _Engine:
         if not np.isfinite(values).all():
             raise BlowUpError(f"non-finite values at t={t:g}", level=t)
 
-    # -- coupled stepper ---------------------------------------------------
+    def _substep(self, op: _Operator, U_from: np.ndarray, t_next: float,
+                 rhs: np.ndarray, guess=None, implicit=None, what: str = "") -> np.ndarray:
+        """New level at t_next: the layers of U_from filled, the interior solved.
 
-    def _build_coupled(self):
-        g, p, k = self.grid, self.problem, self.k
-        self._coupled = {}
-        for tag, theta in (("startup", k / 4.0), ("chain", k / 2.0)):
-            cax = _dir_coeffs(g.hx, self.a_mass, p.beta, p.gamma, theta)
-            cay = _dir_coeffs(g.hy, self.a_mass, p.beta, p.gamma, theta)
-            crx = _dir_coeffs(g.hx, self.a_mass, p.beta, p.gamma, -self.s * theta)
-            cry = _dir_coeffs(g.hy, self.a_mass, p.beta, p.gamma, -self.s * theta)
-            # symmetric x part (wide_second only) is diagonalized; the skew
-            # beta part along x is iterated, along y it sits in the bands.
-            sym_x = (-(self.a_mass + theta * p.gamma) / (12 * g.hx ** 2)) * WIDE_SECOND_W
-            ax_bands = PentaBands(*sym_x, n=self.n)
-            ay_bands = PentaBands(*cay, n=self.n)
-            solver = TensorLineSolver(ax_bands, ay_bands)
-            skew = theta * p.beta / (12 * g.hx) * WIDE_FIRST_W
-            skew_x = _toeplitz(skew, self.n) if p.beta != 0.0 else None
-            self._coupled[tag] = dict(theta=theta, cax=cax, cay=cay,
-                                      crx=crx, cry=cry, solver=solver,
-                                      skew_x=skew_x)
-
-    def _coupled_solve(self, tag: str, rhs_int: np.ndarray, frame: np.ndarray,
-                       guess_int: np.ndarray, t: float):
-        """Solve (I + Ax + Ay) V = rhs - frame coupling, lagging the x-skew part."""
-        op = self._coupled[tag]
-        rhs = rhs_int - self._apply_dir(op["cax"], op["cay"], frame)
-        if op["skew_x"] is None:
-            return op["solver"].solve(rhs), 1
-        trace = []
-        cur = guess_int
-        for it in range(self.cfg.picard_max_iters):
-            new = op["solver"].solve(rhs - op["skew_x"] @ cur)
-            upd = float(np.abs(new - cur).max())
-            trace.append(upd)
-            cur = new
-            if upd <= self.cfg.picard_tol * (1.0 + float(np.abs(new).max())):
-                return cur, it + 1
-        raise PicardError(
-            f"transport lag iteration did not converge at t={t:g}", trace=trace)
-
-    def coupled_startup(self, U0: np.ndarray) -> np.ndarray:
-        """Trapezoidal half-step 0 -> k/2 with the source iterated implicitly."""
-        k, cfg = self.k, self.cfg
-        t0, t1 = 0.0, k / 2.0
-        op = self._coupled["startup"]
-        Un = self.fill(U0, t1)
+        With implicit(U), the right-hand side rhs + implicit(V) is iterated
+        to a fixed point in V; guess seeds the solver's own iteration.
+        """
+        s = self.grid.interior
+        Un = self.fill(U_from, t_next)
         frame = Un.copy()
-        frame[self.grid.interior, self.grid.interior] = 0.0
-        base = (self._interior(U0) + self._apply_dir(op["crx"], op["cry"], U0)
-                + (k / 4.0) * self._interior(self.f_total(t0, U0)))
-        trace = []
-        start = time.perf_counter()
-        total_inner = 0
-        cur = np.array(Un)
-        for it in range(cfg.picard_max_iters):
-            rhs = base + (k / 4.0) * self._interior(self.f_total(t1, cur))
-            new_int, inner = self._coupled_solve("startup", rhs, frame,
-                                                 self._interior(cur), t1)
-            total_inner += inner
-            upd = float(np.abs(new_int - self._interior(cur)).max())
-            trace.append(upd)
-            cur[self.grid.interior, self.grid.interior] = new_int
-            if upd <= cfg.picard_tol * (1.0 + float(np.abs(new_int).max())):
-                break
+        frame[s, s] = 0.0
+        moved = self._apply(frame, *op.lhs)
+        if implicit is None:
+            new, its = op.solve(rhs - moved, guess, t_next)
         else:
-            raise PicardError(f"startup iteration did not converge "
-                              f"(last updates {trace[-3:]})", trace=trace)
-        self._check_finite(cur, t1)
-        self.diagnostics.record(len(trace), trace[-1] if trace else 0.0,
-                                time.perf_counter() - start)
-        return cur
-
-    def coupled_chain_step(self, base: np.ndarray, mid: np.ndarray,
-                           t_mid: float) -> np.ndarray:
-        """Three-level update spanning k, centered at t_mid."""
-        k = self.k
-        t_next = t_mid + k / 2.0
-        op = self._coupled["chain"]
-        Un = self.fill(base, t_next)
-        frame = Un.copy()
-        frame[self.grid.interior, self.grid.interior] = 0.0
-        start = time.perf_counter()
-        rhs = (self._interior(base) + self._apply_dir(op["crx"], op["cry"], base)
-               + k * self._interior(self.f_total(t_mid, mid)))
-        new_int, inner = self._coupled_solve("chain", rhs, frame,
-                                             self._interior(mid), t_next)
-        Un[self.grid.interior, self.grid.interior] = new_int
+            def step(x):
+                Un[s, s] = x
+                return op.solve(rhs + implicit(Un) - moved, x, t_next)[0]
+            new, its = _fixed_point(Un[s, s], step, what, t_next)
+        Un[s, s] = new
         self._check_finite(Un, t_next)
-        self.diagnostics.record(inner, 0.0, time.perf_counter() - start)
+        self.diagnostics.picard_iterations.append(its)
         return Un
 
-    # -- split (literal directional) stepper --------------------------------
 
-    def _build_split(self):
+class _CoupledEngine(_Engine):
+    """Full-mass trapezoidal half-steps chained through the three-level window."""
+
+    def _build(self):
+        g, p, k, n = self.grid, self.problem, self.k, self.n
+        self._ops = {}
+        def both(th):
+            return (stencil_coefficients(g.hx, self.a_mass, p.beta, p.gamma, th),
+                    stencil_coefficients(g.hy, self.a_mass, p.beta, p.gamma, th))
+
+        for tag, theta in (("startup", k / 4.0), ("chain", k / 2.0)):
+            lhs, rhs = both(theta), both(-self.s * theta)
+            # symmetric x part (wide_second only) is diagonalized; the skew
+            # beta part along x is iterated, along y it sits in the bands.
+            sym_x = stencil_coefficients(g.hx, self.a_mass, 0.0, p.gamma, theta)
+            solver = TensorLineSolver(PentaBands(*sym_x, n=n), PentaBands(*lhs[1], n=n))
+            skew_x = None
+            if p.beta != 0.0:
+                skew = stencil_coefficients(g.hx, 0.0, p.beta, 0.0, theta)
+                skew_x = PentaBands(*skew, n=n).dense()
+            self._ops[tag] = _Operator(lhs, rhs,
+                                       partial(_coupled_solve, solver, skew_x))
+
+    def startup(self, U0: np.ndarray) -> np.ndarray:
+        """Trapezoidal half-step 0 -> k/2 with the source iterated implicitly."""
+        k, op = self.k, self._ops["startup"]
+        t1 = k / 2.0
+        rhs = (self._interior(U0) + self._apply(U0, *op.rhs)
+               + (k / 4.0) * self._interior(self.f_total(0.0, U0)))
+        return self._substep(
+            op, U0, t1, rhs, what="startup iteration",
+            implicit=lambda U: (k / 4.0) * self._interior(self.f_total(t1, U)))
+
+    def chain_step(self, base: np.ndarray, mid: np.ndarray, t_mid: float) -> np.ndarray:
+        """Three-level update spanning k, centered at t_mid."""
+        k, op = self.k, self._ops["chain"]
+        rhs = (self._interior(base) + self._apply(base, *op.rhs)
+               + k * self._interior(self.f_total(t_mid, mid)))
+        return self._substep(op, base, t_mid + k / 2.0, rhs,
+                             guess=self._interior(mid))
+
+    half_update = int_update = chain_step
+
+
+class _SplitEngine(_Engine):
+    """The literal directional composition (see the module docstring)."""
+
+    def _build(self):
         g, p, k = self.grid, self.problem, self.k
         th = k / 4.0
-        self._split = {}
+        self._ops = {}
         for axis, h in ((Axis.X, g.hx), (Axis.Y, g.hy)):
-            cn_bands = assemble_line_operator(g, axis, p.alpha, p.beta, p.gamma, th)
-            c_rhs = _dir_coeffs(h, p.alpha, p.beta, p.gamma, -self.s * th)
-            self._split[axis] = dict(cn_bands=cn_bands, cn_fact=factor(cn_bands),
-                                     c_rhs=c_rhs)
-        lf_bands = assemble_line_operator(g, Axis.X, self.a_mass, 0.0, 0.0, 0.0)
-        self._split["leapfrog"] = dict(bands=lf_bands, fact=factor(lf_bands))
+            def along(theta, axis=axis, h=h):
+                c = stencil_coefficients(h, p.alpha, p.beta, p.gamma, theta)
+                return (c, None) if axis is Axis.X else (None, c)
+            fact = factor(assemble_line_operator(g, axis, p.alpha, p.beta, p.gamma, th))
+            self._ops[axis] = _Operator(along(th), along(-self.s * th),
+                                        partial(_line_solve, fact, axis))
+        mass = (stencil_coefficients(g.hx, self.a_mass, 0.0, 0.0, 0.0), None)
+        fact = factor(assemble_line_operator(g, Axis.X, self.a_mass, 0.0, 0.0, 0.0))
+        self._ops["leapfrog"] = _Operator(mass, mass, partial(_line_solve, fact, Axis.X))
         # +(gamma*wide_second - beta*wide_first), the explicit middle term
-        self._split["c_mid"] = -_dir_coeffs(g.hx, 0.0, p.beta, p.gamma, 1.0)
+        self._c_mid = -stencil_coefficients(g.hx, 0.0, p.beta, p.gamma, 1.0)
 
-    def _split_cn(self, axis: Axis, U_from: np.ndarray, t_from: float) -> np.ndarray:
+    def cn(self, axis: Axis, U_from: np.ndarray, t_from: float) -> np.ndarray:
         """Directional trapezoidal half-step (x carries f1, y carries f2)."""
-        g, p, k, cfg = self.grid, self.problem, self.k, self.cfg
-        M = self.M
+        g, p, k = self.grid, self.problem, self.k
         t_next = t_from + k / 2.0
-        op = self._split[axis]
-        Un = self.fill(U_from, t_next)
-        h = g.hx if axis is Axis.X else g.hy
-        fsrc = p.f1 if axis is Axis.X else p.f2
+        h, fsrc = (g.hx, p.f1) if axis is Axis.X else (g.hy, p.f2)
 
         def source(t, U):
             d = wide_first_values(U, h, axis)
-            return np.asarray(fsrc(self.X, self.Y, t, U, d), dtype=float)
+            return (k / 4.0) * self._interior(
+                np.asarray(fsrc(self.X, self.Y, t, U, d), dtype=float))
 
-        if axis is Axis.X:
-            base = (self._interior(U_from) + self._apply_x(op["c_rhs"], U_from)
-                    + (k / 4.0) * self._interior(source(t_from, U_from)))
-        else:
-            base = (self._interior(U_from) + self._apply_y(op["c_rhs"], U_from)
-                    + (k / 4.0) * self._interior(source(t_from, U_from)))
-        trace = []
-        start = time.perf_counter()
-        for it in range(cfg.picard_max_iters):
-            rhs = base + (k / 4.0) * self._interior(source(t_next, Un))
-            if axis is Axis.X:
-                corr = boundary_moveout(op["cn_bands"],
-                                        (Un[0, 2:M - 1], Un[1, 2:M - 1]),
-                                        (Un[M - 1, 2:M - 1], Un[M, 2:M - 1]))
-                new = solve_line(op["cn_fact"], rhs + corr)
-            else:
-                corr = boundary_moveout(op["cn_bands"],
-                                        (Un[2:M - 1, 0], Un[2:M - 1, 1]),
-                                        (Un[2:M - 1, M - 1], Un[2:M - 1, M]))
-                new = solve_line(op["cn_fact"], rhs.T + corr).T
-            upd = float(np.abs(new - self._interior(Un)).max())
-            trace.append(upd)
-            Un[self.grid.interior, self.grid.interior] = new
-            if upd <= cfg.picard_tol * (1.0 + float(np.abs(new).max())):
-                break
-        else:
-            raise PicardError(
-                f"directional implicit step along {axis.name} did not "
-                f"converge at t={t_next:g} (last updates {trace[-3:]})", trace=trace)
-        self._check_finite(Un, t_next)
-        self.diagnostics.record(len(trace), trace[-1], time.perf_counter() - start)
-        return Un
+        op = self._ops[axis]
+        rhs = self._interior(U_from) + self._apply(U_from, *op.rhs) + source(t_from, U_from)
+        return self._substep(op, U_from, t_next, rhs,
+                             implicit=partial(source, t_next),
+                             what=f"directional implicit step along {axis.name}")
 
-    def split_leapfrog(self, U_half_prev: np.ndarray, U_int: np.ndarray,
-                       t_n: float) -> np.ndarray:
+    def startup(self, U0: np.ndarray) -> np.ndarray:
+        return self.cn(Axis.X, U0, 0.0)
+
+    def leapfrog(self, U_half_prev: np.ndarray, U_int: np.ndarray,
+                 t_n: float) -> np.ndarray:
         """Explicit-midpoint x-direction update spanning k."""
         g, p, k = self.grid, self.problem, self.k
-        M = self.M
         t_next = t_n + k / 2.0
-        op = self._split["leapfrog"]
-        Un = self.fill(U_half_prev, t_next)
+        op = self._ops["leapfrog"]
         ux = wide_first_values(U_int, g.hx, Axis.X)
         fmid = np.asarray(p.f1(self.X, self.Y, t_n, U_int, ux), dtype=float)
-        rhs = (self._interior(U_half_prev)
-               + self._apply_x(_dir_coeffs(g.hx, self.a_mass, 0.0, 0.0, 0.0), U_half_prev)
-               + k * self._apply_x(self._split["c_mid"], U_int)
+        rhs = (self._interior(U_half_prev) + self._apply(U_half_prev, *op.rhs)
+               + k * self._apply(U_int, self._c_mid)
                + k * self._interior(fmid))
         if not np.isfinite(rhs).all():
             raise BlowUpError(f"non-finite right-hand side at t={t_next:g}",
                               level=t_next)
-        corr = boundary_moveout(op["bands"],
-                                (Un[0, 2:M - 1], Un[1, 2:M - 1]),
-                                (Un[M - 1, 2:M - 1], Un[M, 2:M - 1]))
-        start = time.perf_counter()
-        Un[self.grid.interior, self.grid.interior] = solve_line(op["fact"], rhs + corr)
-        self._check_finite(Un, t_next)
-        self.diagnostics.record(0, 0.0, time.perf_counter() - start)
-        return Un
+        return self._substep(op, U_half_prev, t_next, rhs)
+
+    half_update = leapfrog
+
+    def int_update(self, base: np.ndarray, mid: np.ndarray, t_mid: float) -> np.ndarray:
+        return self.cn(Axis.Y, mid, t_mid)
+
+
+_ENGINES = {"coupled": _CoupledEngine, "split": _SplitEngine}
+
+
+def _engine(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig, k: float) -> _Engine:
+    return _ENGINES[cfg.stepper](problem, grid, cfg, k)
+
+
+def _coupled_solve(solver, skew_x, b: np.ndarray, guess: np.ndarray, t: float):
+    """Solve (I + Ax + Ay) V = b, lagging the x-skew part."""
+    if skew_x is None:
+        return solver.solve(b), 1
+    return _fixed_point(guess, lambda x: solver.solve(b - skew_x @ x),
+                        "transport lag iteration", t)
+
+
+def _line_solve(fact, axis: Axis, b: np.ndarray, guess, t: float):
+    """Solve the pentadiagonal systems of the lines along axis."""
+    return axis_first(solve_line(fact, axis_first(b, axis)), axis), 0
+
+
+def _step(eng: _Engine, half: np.ndarray, cur: np.ndarray, n: int):
+    """(U^{n-1/2}, U^n) -> (U^{n+1/2}, U^{n+1})."""
+    new_half = eng.half_update(half, cur, n * eng.k)
+    return new_half, eng.int_update(cur, new_half, (n + 0.5) * eng.k)
 
 
 # ---------------------------------------------------------------------------
@@ -427,57 +407,40 @@ def init_half_step(U0: Field, problem: ProblemSpec, k: float,
     coupled: full-operator trapezoidal half-step; split: the literal
     x-direction half-step carrying f1.
     """
-    eng = _Engine(problem, U0.grid, cfg, k)
-    if cfg.stepper == "coupled":
-        return Field(U0.grid, eng.coupled_startup(np.array(U0.values)))
-    return Field(U0.grid, eng._split_cn(Axis.X, np.array(U0.values), 0.0))
+    eng = _engine(problem, U0.grid, cfg, k)
+    return Field(U0.grid, eng.startup(np.array(U0.values)))
 
 
 def cn_y_step(U_from: Field, t_from: float, k: float, problem: ProblemSpec,
               cfg: SchemeConfig = SchemeConfig()) -> Field:
     """Directional y-trapezoid half-step t_from -> t_from + k/2 (carries f2)."""
-    eng = _Engine(problem, U_from.grid,
-                  cfg if cfg.stepper == "split" else replace(cfg, stepper="split"), k)
-    return Field(U_from.grid, eng._split_cn(Axis.Y, np.array(U_from.values), t_from))
+    eng = _SplitEngine(problem, U_from.grid, cfg, k)
+    return Field(U_from.grid, eng.cn(Axis.Y, np.array(U_from.values), t_from))
 
 
 def cn_x_step(U_from: Field, t_from: float, k: float, problem: ProblemSpec,
               cfg: SchemeConfig = SchemeConfig()) -> Field:
     """Directional x-trapezoid half-step t_from -> t_from + k/2 (carries f1)."""
-    eng = _Engine(problem, U_from.grid,
-                  cfg if cfg.stepper == "split" else replace(cfg, stepper="split"), k)
-    return Field(U_from.grid, eng._split_cn(Axis.X, np.array(U_from.values), t_from))
+    eng = _SplitEngine(problem, U_from.grid, cfg, k)
+    return Field(U_from.grid, eng.cn(Axis.X, np.array(U_from.values), t_from))
 
 
 def leapfrog_x_step(U_half_prev: Field, U_int: Field, t_n: float, k: float,
                     problem: ProblemSpec, cfg: SchemeConfig = SchemeConfig()) -> Field:
     """Explicit-midpoint x-direction update t_{n-1/2} -> t_{n+1/2}."""
     U_half_prev.same_grid(U_int)
-    eng = _Engine(problem, U_int.grid,
-                  cfg if cfg.stepper == "split" else replace(cfg, stepper="split"), k)
-    return Field(U_int.grid, eng.split_leapfrog(np.array(U_half_prev.values),
-                                                np.array(U_int.values), t_n))
+    eng = _SplitEngine(problem, U_int.grid, cfg, k)
+    return Field(U_int.grid, eng.leapfrog(np.array(U_half_prev.values),
+                                          np.array(U_int.values), t_n))
 
 
 def advance(state: SchemeState, problem: ProblemSpec, k: float,
             cfg: SchemeConfig = SchemeConfig()) -> SchemeState:
     """Advance the (t_{n-1/2}, t_n) window one full step to (t_{n+1/2}, t_{n+1})."""
-    eng = _Engine(problem, state.U_int.grid, cfg, k)
-    return _advance_with_engine(eng, state)
-
-
-def _advance_with_engine(eng: _Engine, state: SchemeState) -> SchemeState:
-    n, k = state.n, eng.k
-    half = np.array(state.U_half.values)
-    mid = np.array(state.U_int.values)
-    if eng.cfg.stepper == "coupled":
-        new_half = eng.coupled_chain_step(half, mid, n * k)
-        new_int = eng.coupled_chain_step(mid, new_half, (n + 0.5) * k)
-    else:
-        new_half = eng.split_leapfrog(half, mid, n * k)
-        new_int = eng._split_cn(Axis.Y, new_half, (n + 0.5) * k)
     g = state.U_int.grid
-    return SchemeState(n=n + 1, U_half=Field(g, new_half), U_int=Field(g, new_int))
+    half, cur = _step(_engine(problem, g, cfg, k), np.array(state.U_half.values),
+                      np.array(state.U_int.values), state.n)
+    return SchemeState(n=state.n + 1, U_half=Field(g, half), U_int=Field(g, cur))
 
 
 @dataclass
@@ -512,7 +475,7 @@ def run(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig = SchemeConfig(),
     T = problem.T if T is None else float(T)
     tg = resolve_time_grid(grid, cfg, T)
     k, N = tg.k, tg.N
-    eng = _Engine(problem, grid, cfg, k)
+    eng = _engine(problem, grid, cfg, k)
     rec = SolutionRecord(problem_name=problem.name, M=grid.M, k=k, N=N, cfg=cfg,
                          diagnostics=eng.diagnostics)
     X, Y = grid.mesh()
@@ -545,21 +508,11 @@ def run(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig = SchemeConfig(),
     U0 = sample(grid, lambda X_, Y_, t_: problem.u0(X_, Y_), 0.0).values
     try:
         observe(0, U0)
-        if cfg.stepper == "coupled":
-            half = eng.coupled_startup(np.array(U0))
-            cur = eng.coupled_chain_step(np.array(U0), half, 0.5 * k)
-        else:
-            half = eng._split_cn(Axis.X, np.array(U0), 0.0)
-            cur = eng._split_cn(Axis.Y, half, 0.5 * k)
+        half = eng.startup(U0)
+        cur = eng.int_update(U0, half, 0.5 * k)
         observe(1, cur)
         for n in range(1, N):
-            if cfg.stepper == "coupled":
-                new_half = eng.coupled_chain_step(half, cur, n * k)
-                new_int = eng.coupled_chain_step(cur, new_half, (n + 0.5) * k)
-            else:
-                new_half = eng.split_leapfrog(half, cur, n * k)
-                new_int = eng._split_cn(Axis.Y, new_half, (n + 0.5) * k)
-            half, cur = new_half, new_int
+            half, cur = _step(eng, half, cur, n)
             observe(n + 1, cur)
         rec.final = Field(grid, cur)
     except (BlowUpError, PicardError) as exc:

@@ -58,17 +58,25 @@ def second_diff_values(values: np.ndarray, h: float, axis: Axis) -> np.ndarray:
     return out
 
 
+def axis_first(values: np.ndarray, axis: Axis) -> np.ndarray:
+    """View of values with `axis` as the leading axis (the transpose for Y)."""
+    return values if axis is Axis.X else values.T
+
+
+def five_point(values: np.ndarray, w: np.ndarray, axis: Axis) -> np.ndarray:
+    """Sums w[0]*u[i-2] + ... + w[4]*u[i+2] along axis, for i = 2..M-2.
+
+    M + 1 is the length of values along axis; the other axis is kept whole.
+    """
+    v = axis_first(values, axis)
+    M = v.shape[0] - 1
+    return axis_first(w[0] * v[0:M - 3] + w[1] * v[1:M - 2] + w[2] * v[2:M - 1]
+                      + w[3] * v[3:M] + w[4] * v[4:M + 1], axis)
+
+
 def _wide(values: np.ndarray, h: float, axis: Axis, w: np.ndarray, scale: float) -> np.ndarray:
-    M = values.shape[0] - 1
     out = np.zeros_like(values)
-    if axis is Axis.X:
-        out[2:M - 1, :] = (w[0] * values[0:M - 3, :] + w[1] * values[1:M - 2, :]
-                           + w[2] * values[2:M - 1, :] + w[3] * values[3:M, :]
-                           + w[4] * values[4:M + 1, :]) / scale
-    else:
-        out[:, 2:M - 1] = (w[0] * values[:, 0:M - 3] + w[1] * values[:, 1:M - 2]
-                           + w[2] * values[:, 2:M - 1] + w[3] * values[:, 3:M]
-                           + w[4] * values[:, 4:M + 1]) / scale
+    axis_first(out, axis)[2:-2] = axis_first(five_point(values, w, axis), axis) / scale
     return out
 
 

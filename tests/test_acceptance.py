@@ -377,7 +377,7 @@ def test_criterion_07_temporal_order():
     assert ok, rates
 
 
-def test_criterion_08_stability(study_ex1, study_ex2, study_ex3):
+def test_criterion_08_stability():
     """sup-H2 of the computed solution bounded by sup-H2 of the reference
     plus 1.0 on all benchmark runs; zero-data and constant-preservation
     invariants hold exactly."""

@@ -235,3 +235,33 @@ def test_cli_io_error_exit_code(tmp_path):
     code = main(["convergence", "--problem", "example1", "--levels", "2..2",
                  "--out", str(tmp_path / "no" / "such" / "dir" / "t.csv")])
     assert code == 4
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["solve", "--problem", "example1", "--M", "8", "--k", "abc"], None),
+    (["convergence", "--problem", "example1", "--levels", "a..b"], None),
+    (["solve", "--problem", "example1", "--M", "8", "--T", "nan"], None),
+    (["solve", "--problem", "example1", "--M", "8", "--k", "inf"], None),
+    (["solve"], "problem = example1\nM = abc\n"),
+    (["solve"], '{"problem": "example1", "M": [8]}'),
+    (["solve"], '{"problem": "example1", "M": 8,}'),
+    (["solve"], "problem = example1\nM = 8\nstepr = split\n"),
+    (["solve"], '{"problem": "example1", "M": 8, "dump_at": 0.5}'),
+], ids=["k-abc", "levels-a..b", "T-nan", "k-inf", "config-M-abc",
+        "json-list-value", "json-malformed", "config-unknown-key",
+        "json-dump-at-scalar"])
+def test_cli_malformed_input_is_config_error(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_config_file_dump_at(tmp_path, capsys):
+    dump = tmp_path / "slice.csv"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"problem = example1\nM = 8\ndump-at = 0.5 {dump}\n")
+    assert main(["solve", "--config", str(cfgfile)]) == 0
+    assert dump.read_text().startswith("x,y,u,U,e")

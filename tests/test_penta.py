@@ -5,7 +5,7 @@ import pytest
 
 from sobrlw import (Axis, ConfigurationError, DominanceWarning, PentaBands,
                     SingularSystemError, TensorLineSolver,
-                    assemble_line_operator, boundary_moveout, factor,
+                    assemble_line_operator, factor,
                     make_grid, multiply_line, solve_line)
 
 from _oracles import constrained_2d_solve, dense_banded, dense_gauss_solve
@@ -129,52 +129,6 @@ def test_solve_rejects_wrong_length():
     bands = PentaBands(0, 0, 1.0, 0, 0, n=4)
     with pytest.raises(ConfigurationError):
         solve_line(factor(bands), np.zeros(5))
-
-
-def test_moveout_zero_boundary():
-    bands = PentaBands(0.5, -1.0, 3.0, -1.0, 0.5, n=5)
-    c = boundary_moveout(bands, (0.0, 0.0), (0.0, 0.0))
-    assert np.all(c == 0.0)
-
-
-def test_moveout_identity_bands():
-    bands = PentaBands(0, 0, 1.0, 0, 0, n=5)
-    c = boundary_moveout(bands, (1.0, 2.0), (3.0, 4.0))
-    assert np.all(c == 0.0)
-
-
-def test_moveout_against_constrained_dense_solve():
-    # 5 unknowns (M = 8) with nonzero layers; compare with a dense solve of
-    # the full constrained system over all M+1 nodes of one line
-    M = 8
-    g = make_grid(0, 1, 0, 1, M)
-    bands = assemble_line_operator(g, Axis.X, 0.9, 0.3, 0.7, 0.01, warn=False)
-    rng = np.random.default_rng(5)
-    rhs = rng.standard_normal(bands.n)
-    U0, U1, Um1, Um = rng.standard_normal(4)
-
-    corr = boundary_moveout(bands, (U0, U1), (Um1, Um))
-    x = solve_line(factor(bands), rhs + corr)
-
-    m = M + 1
-    A = np.zeros((m, m))
-    b = np.zeros(m)
-    for row, val in ((0, U0), (1, U1), (M - 1, Um1), (M, Um)):
-        A[row, row] = 1.0
-        b[row] = val
-    for i in range(2, M - 1):
-        for off, cval in zip(range(-2, 3), bands.coefficients):
-            A[i, i + off] += cval
-        b[i] = rhs[i - 2]
-    ref = dense_gauss_solve(A, b)
-    assert np.abs(x - ref[2:M - 1]).max() <= 1e-12
-
-
-def test_moveout_single_unknown_accumulates_both_ends():
-    # n = 1: the single row couples to both boundary pairs at once
-    bands = PentaBands(1.0, 2.0, 10.0, 3.0, 4.0, n=1)
-    c = boundary_moveout(bands, (1.0, 1.0), (1.0, 1.0))
-    assert np.allclose(c, [-(1 + 2) - (3 + 4)])
 
 
 def test_tensor_line_solver_against_dense():

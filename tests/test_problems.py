@@ -105,6 +105,16 @@ def test_spec_validation():
                     f1=None, f2=None, u0=None, g=None)
 
 
+@pytest.mark.parametrize("coeff", ["alpha", "beta", "gamma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_spec_rejects_non_finite_coefficients(coeff, value):
+    # abs(nan) > 1 is False, so a range check alone lets nan through
+    coeffs = {"alpha": 1.0, "beta": 0.0, "gamma": 0.0, coeff: value}
+    with pytest.raises(ConfigurationError):
+        ProblemSpec(name="bad", f1=None, f2=None, u0=None, g=None, **coeffs)
+
+
 def test_manufactured_zero_solution():
     p = manufactured(1.0, 0.5, 0.5, lambda X, Y, t: 0.0 * X)
     pts = np.linspace(0.1, 0.9, 5)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from sobrlw import (BlowUpError, Field, PicardError, ProblemSpec,
-                    SchemeConfig, SchemeState, advance, cn_x_step, cn_y_step,
+from sobrlw import (BlowUpError, ConfigurationError, Field, PicardError,
+                    ProblemSpec, SchemeConfig, SchemeState, advance,
+                    cn_x_step, cn_y_step,
                     example1, fill_boundary_layers, init_half_step,
                     l2_norm, leapfrog_x_step, make_grid, run, sample,
                     time_step_rule)
-from sobrlw.scheme import _dir_coeffs, make_time_grid
+from sobrlw.scheme import make_time_grid
 from sobrlw.stencils import Axis
 
 from _oracles import constrained_2d_solve, directional_coeffs
@@ -72,6 +73,15 @@ def test_time_step_rule_rounding():
     assert abs(tg.k - 1.0 / 3.0) < 1e-15
 
 
+@pytest.mark.parametrize("T, k", [(float("nan"), 0.1), (float("inf"), 0.1),
+                                  (1.0, float("nan")), (1.0, float("inf"))],
+                         ids=["T-nan", "T-inf", "k-nan", "k-inf"])
+def test_make_time_grid_rejects_non_finite(T, k):
+    # k = inf used to round to a single step of size T
+    with pytest.raises(ConfigurationError):
+        make_time_grid(T, k)
+
+
 def test_time_step_rule_takes_min():
     assert abs(time_step_rule(0.25, 0.125) - 0.0625) < 1e-15
     assert abs(time_step_rule(0.125, 0.25) - 0.0625) < 1e-15
@@ -110,7 +120,6 @@ def test_fill_layers_zero_problem_both_modes():
 
 
 def test_fill_layers_exact_requires_reference_or_extension():
-    from sobrlw import ConfigurationError
     p = example1()
     blind = ProblemSpec(name="blind", alpha=1.0, beta=0.0, gamma=1.0,
                         f1=p.f1, f2=p.f2, u0=p.u0, g=p.g, exact=None,
@@ -144,7 +153,12 @@ def test_constant_preserved(cfg):
 
 
 # --------------------------------------------------------------------------
-# dense constrained-system oracles for the sub-steps (M = 6, linear sources)
+# dense constrained-system oracles for the sub-steps (M = 6, linear sources,
+# on the unit square and on a rectangle with hx != hy)
+
+SEEDS_SQUARE_AND_RECT = pytest.mark.parametrize(
+    "seed, L4", [(seed, 1.0) for seed in range(3)] + [(seed, 0.6) for seed in range(3)],
+    ids=[str(seed) for seed in range(3)] + [f"rect-{seed}" for seed in range(3)])
 
 
 def fill_frame_dense(p, grid, t):
@@ -152,12 +166,12 @@ def fill_frame_dense(p, grid, t):
     return np.asarray(p.exact(X, Y, t), float)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_split_init_half_step_matches_dense(seed):
+@SEEDS_SQUARE_AND_RECT
+def test_split_init_half_step_matches_dense(seed, L4):
     rng = np.random.default_rng(seed)
     p = linear_source_problem(rng)
     M = 6
-    g = make_grid(0, 1, 0, 1, M)
+    g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
     X, Y = g.mesh()
     U0 = sample(g, lambda X_, Y_, t_: p.u0(X_, Y_))
@@ -177,12 +191,12 @@ def test_split_init_half_step_matches_dense(seed):
     assert np.abs(got.values - ref).max() <= 1e-11
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_split_cn_y_step_matches_dense(seed):
+@SEEDS_SQUARE_AND_RECT
+def test_split_cn_y_step_matches_dense(seed, L4):
     rng = np.random.default_rng(100 + seed)
     p = linear_source_problem(rng)
     M = 6
-    g = make_grid(0, 1, 0, 1, M)
+    g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
     t0 = 0.25
     X, Y = g.mesh()
@@ -202,12 +216,12 @@ def test_split_cn_y_step_matches_dense(seed):
     assert np.abs(got.values - ref).max() <= 1e-11
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_split_leapfrog_matches_dense(seed):
+@SEEDS_SQUARE_AND_RECT
+def test_split_leapfrog_matches_dense(seed, L4):
     rng = np.random.default_rng(200 + seed)
     p = linear_source_problem(rng)
     M = 6
-    g = make_grid(0, 1, 0, 1, M)
+    g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
     t_n = 0.5
     X, Y = g.mesh()
@@ -229,12 +243,12 @@ def test_split_leapfrog_matches_dense(seed):
     assert np.abs(got.values - ref).max() <= 1e-11
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_coupled_startup_matches_dense(seed):
+@SEEDS_SQUARE_AND_RECT
+def test_coupled_startup_matches_dense(seed, L4):
     rng = np.random.default_rng(300 + seed)
     p = linear_source_problem(rng)
     M = 6
-    g = make_grid(0, 1, 0, 1, M)
+    g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
     X, Y = g.mesh()
     U0 = sample(g, lambda X_, Y_, t_: p.u0(X_, Y_))
@@ -258,12 +272,12 @@ def test_coupled_startup_matches_dense(seed):
     assert np.abs(got.values - ref).max() <= 1e-11
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_coupled_chain_step_matches_dense(seed):
+@SEEDS_SQUARE_AND_RECT
+def test_coupled_chain_step_matches_dense(seed, L4):
     rng = np.random.default_rng(400 + seed)
     p = linear_source_problem(rng)
     M = 6
-    g = make_grid(0, 1, 0, 1, M)
+    g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
     t_n = 0.5
     X, Y = g.mesh()
