@@ -121,8 +121,12 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _number(kind, key: str, value):
-    """value as an int or float; anything else is a configuration error."""
+    """value as an int or float; anything else is a configuration error,
+    a boolean too, and for an int any non-integral number."""
     try:
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigurationError(

@@ -10,9 +10,12 @@ strict diagonal dominance (|row off-diagonal sum| = 34w against a diagonal
 of 1 + 30w), so dominance is checked and reported, not assumed; the
 factorization is protected by residual tests instead.
 
-TensorLineSolver couples the two directions: it diagonalizes the symmetric
-x-line operator once and solves one pentadiagonal y-line system per
-x-eigenmode, giving a direct solve of (I + Ax (+) Ay) at line-solve cost.
+A factorization may stack several systems that share four diagonals and
+differ in the main one (PentaBands.c_0 holding one value per system): every
+row operation then runs on all systems at once, with the arithmetic of each
+system unchanged.  TensorLineSolver couples the two directions this way: it
+diagonalizes the symmetric x-line operator once, and the y-line systems of
+all x-eigenmodes are factored, and solved, in one batched sweep over rows.
 """
 from __future__ import annotations
 
@@ -32,11 +35,15 @@ class DominanceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class PentaBands:
-    """Five constant diagonals of a line operator, offsets -2..+2."""
+    """Five constant diagonals of a line operator, offsets -2..+2.
+
+    c_0 may be an (m,) array: m stacked systems that differ only in their
+    main diagonal, factored together by factor().
+    """
 
     c_mm: float
     c_m: float
-    c_0: float
+    c_0: float | np.ndarray
     c_p: float
     c_pp: float
     n: int
@@ -51,7 +58,8 @@ class PentaBands:
                                 + abs(self.c_p) + abs(self.c_pp))
 
     def shifted(self, delta: float) -> "PentaBands":
-        """Same bands with delta added to the main diagonal."""
+        """Same bands with delta added to the main diagonal; an (m,) delta
+        gives m stacked systems."""
         return PentaBands(self.c_mm, self.c_m, self.c_0 + delta,
                           self.c_p, self.c_pp, self.n)
 
@@ -94,7 +102,10 @@ def assemble_line_operator(grid: Grid2D, axis: Axis, alpha: float, beta: float,
 
 @dataclass(frozen=True)
 class PentaFactorization:
-    """LU factors (no pivoting) of a pentadiagonal matrix, bandwidth 2."""
+    """LU factors (no pivoting) of a pentadiagonal matrix, bandwidth 2.
+
+    Each array is (n,) for one system or (n, m) for m stacked systems.
+    """
 
     a: np.ndarray   # subsub multipliers
     b: np.ndarray   # sub multipliers
@@ -105,36 +116,42 @@ class PentaFactorization:
 
 
 def factor(bands: PentaBands) -> PentaFactorization:
+    """Factor one system, or all stacked systems at once (shape of c_0)."""
     n = bands.n
     if n < 1:
         raise ConfigurationError(f"system size must be >= 1, got {n}")
-    a = np.full(n, bands.c_mm)
-    b = np.full(n, bands.c_m)
-    d = np.full(n, bands.c_0)
-    e = np.full(n, bands.c_p)
-    f = np.full(n, bands.c_pp)
+    shape = (n,) + np.shape(bands.c_0)
+    a = np.full(shape, bands.c_mm)
+    b = np.full(shape, bands.c_m)
+    d = np.full(shape, bands.c_0)
+    e = np.full(shape, bands.c_p)
+    f = np.full(shape, bands.c_pp)
     for i in range(1, n):
         if i >= 2:
-            if d[i - 2] == 0.0:
+            if (d[i - 2] == 0.0).any():
                 raise SingularSystemError(f"zero pivot at row {i - 2}")
             m2 = a[i] / d[i - 2]
             a[i] = m2
             b[i] -= m2 * e[i - 2]
             d[i] -= m2 * f[i - 2]
-        if d[i - 1] == 0.0:
+        if (d[i - 1] == 0.0).any():
             raise SingularSystemError(f"zero pivot at row {i - 1}")
         m1 = b[i] / d[i - 1]
         b[i] = m1
         d[i] -= m1 * e[i - 1]
         if i <= n - 2:
             e[i] -= m1 * f[i - 1]
-    if d[n - 1] == 0.0:
+    if (d[n - 1] == 0.0).any():
         raise SingularSystemError(f"zero pivot at row {n - 1}")
     return PentaFactorization(a=a, b=b, d=d, e=e, f=f, n=n)
 
 
 def solve_line(fact: PentaFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve for one right-hand side (n,) or a batch (n, m)."""
+    """Solve for one right-hand side (n,) or a batch (n, m).
+
+    A stacked factorization of m systems takes (n, m), column l solved
+    with system l.
+    """
     rhs = np.asarray(rhs, dtype=float)
     n = fact.n
     if rhs.shape[0] != n:
@@ -179,18 +196,19 @@ class TensorLineSolver:
     """Direct solver for (I + Ax (+) Ay) V = B on the (M-3)^2 interior.
 
     Ax must be symmetric (its bands are diagonalized once); Ay may carry a
-    skew part and is solved per x-eigenmode as a pentadiagonal line system.
-    B and V are (n, n) arrays indexed [i-line, j].
+    skew part.  Each x-eigenmode i leaves the pentadiagonal y-line system
+    (1 + lam_i) I + Ay; the n systems are factored together once and solved
+    together in one sweep over rows, each row operation running on all
+    modes.  B and V are (n, n) arrays indexed [i-line, j].
     """
 
     def __init__(self, ax_bands: PentaBands, ay_bands: PentaBands):
         self.lam, self.Q = symmetric_eigendecomposition(ax_bands)
-        self.facts = [factor(ay_bands.shifted(1.0 + lam_i)) for lam_i in self.lam]
-        self.n = ax_bands.n
+        self.fact = factor(ay_bands.shifted(1.0 + self.lam))
 
     def solve(self, B: np.ndarray) -> np.ndarray:
-        Bt = self.Q.T @ B
-        V = np.empty_like(Bt)
-        for i in range(self.n):
-            V[i, :] = solve_line(self.facts[i], Bt[i, :])
+        Bt = self.Q.T @ B                                   # [mode, j]
+        # the sweep runs over rows j with all modes at once; V goes back to
+        # a C-contiguous [mode, j] array, so Q @ V keeps one operand layout
+        V = np.ascontiguousarray(solve_line(self.fact, Bt.T).T)
         return self.Q @ V

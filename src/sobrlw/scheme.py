@@ -10,8 +10,9 @@ Two compositions are provided, selected by SchemeConfig.stepper:
     per direction changes the dynamics at leading order (each directional
     sub-flow of the first benchmark decays at rate 0.954 instead of the
     two composing to rate 1).  The solve is direct at line-solve cost: the
-    symmetric x-operator is diagonalized once and each x-eigenmode yields
-    one pentadiagonal y-line system.
+    symmetric x-operator is diagonalized once, each x-eigenmode yields one
+    pentadiagonal y-line system, and the systems of all modes are factored
+    and solved in one batched sweep over rows.
 
         startup   (M - (k/4)G) U^{1/2} = (M + s(k/4)G) U^0
                                          + (k/4)[f(t_{1/2}) + f(t_0)]

@@ -9,7 +9,7 @@ from sobrlw.stencils import WIDE_FIRST_W, WIDE_SECOND_W
 
 
 def dense_gauss_solve(A, b):
-    """Gaussian elimination with partial pivoting, for systems up to ~50."""
+    """Gaussian elimination with partial pivoting, for systems up to a few hundred."""
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
     n = A.shape[0]

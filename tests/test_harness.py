@@ -247,9 +247,18 @@ def test_cli_io_error_exit_code(tmp_path):
     (["solve"], '{"problem": "example1", "M": 8,}'),
     (["solve"], "problem = example1\nM = 8\nstepr = split\n"),
     (["solve"], '{"problem": "example1", "M": 8, "dump_at": 0.5}'),
+    (["solve"], '{"problem": "example1", "M": 8.7}'),
+    (["solve"], '{"problem": "example1", "M": true}'),
+    (["solve"], '{"problem": "example1", "M": Infinity}'),
+    (["solve"], '{"problem": "example1", "M": 8, "T": true}'),
+    (["convergence"], '{"problem": "example1", "levels": [2, 2.5]}'),
+    (["verify"], '{"M": 8, "seed": 0.5}'),
+    (["verify"], '{"M": 8, "seed": false}'),
 ], ids=["k-abc", "levels-a..b", "T-nan", "k-inf", "config-M-abc",
         "json-list-value", "json-malformed", "config-unknown-key",
-        "json-dump-at-scalar"])
+        "json-dump-at-scalar", "json-M-fractional", "json-M-bool", "json-M-inf",
+        "json-T-bool", "json-levels-fractional", "json-seed-fractional",
+        "json-seed-bool"])
 def test_cli_malformed_input_is_config_error(tmp_path, capsys, argv, config):
     if config is not None:
         path = tmp_path / "run.cfg"

@@ -154,11 +154,19 @@ def test_constant_preserved(cfg):
 
 # --------------------------------------------------------------------------
 # dense constrained-system oracles for the sub-steps (M = 6, linear sources,
-# on the unit square and on a rectangle with hx != hy)
+# on the unit square and on a rectangle with hx != hy).  At M = 6 every line
+# system is 3 x 3, so the coupled steps are also checked at M = 16, where a
+# wrong band or mode layout of the coupled solve shows.
 
 SEEDS_SQUARE_AND_RECT = pytest.mark.parametrize(
     "seed, L4", [(seed, 1.0) for seed in range(3)] + [(seed, 0.6) for seed in range(3)],
     ids=[str(seed) for seed in range(3)] + [f"rect-{seed}" for seed in range(3)])
+COUPLED_CASES = pytest.mark.parametrize(
+    "seed, L4, M",
+    [(seed, 1.0, 6) for seed in range(3)] + [(seed, 0.6, 6) for seed in range(3)]
+    + [(0, 1.0, 16), (0, 0.6, 16)],
+    ids=[str(seed) for seed in range(3)] + [f"rect-{seed}" for seed in range(3)]
+    + ["M16-0", "M16-rect-0"])
 
 
 def fill_frame_dense(p, grid, t):
@@ -243,11 +251,10 @@ def test_split_leapfrog_matches_dense(seed, L4):
     assert np.abs(got.values - ref).max() <= 1e-11
 
 
-@SEEDS_SQUARE_AND_RECT
-def test_coupled_startup_matches_dense(seed, L4):
+@COUPLED_CASES
+def test_coupled_startup_matches_dense(seed, L4, M):
     rng = np.random.default_rng(300 + seed)
     p = linear_source_problem(rng)
-    M = 6
     g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
     X, Y = g.mesh()
@@ -272,11 +279,10 @@ def test_coupled_startup_matches_dense(seed, L4):
     assert np.abs(got.values - ref).max() <= 1e-11
 
 
-@SEEDS_SQUARE_AND_RECT
-def test_coupled_chain_step_matches_dense(seed, L4):
+@COUPLED_CASES
+def test_coupled_chain_step_matches_dense(seed, L4, M):
     rng = np.random.default_rng(400 + seed)
     p = linear_source_problem(rng)
-    M = 6
     g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
     t_n = 0.5
