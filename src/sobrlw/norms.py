@@ -43,25 +43,31 @@ def l2_norm(field: Field) -> float:
 
 
 def _half_sq(field: Field, axis: Axis) -> float:
+    """Weighted sum of squared half differences over their index block, as
+    half_diff_values would give them but formed on the block alone."""
     g = field.grid
     M = g.M
-    d = half_diff_values(field.values, g.hx if axis is Axis.X else g.hy, axis)
-    if axis is Axis.X:
-        block = d[1:M - 1, 2:M - 1]      # half points i+1/2 for i = 1..M-2
+    v = field.values
+    if axis is Axis.X:      # half points i+1/2 for i = 1..M-2, j = 2..M-2
+        d = (v[2:M, 2:M - 1] - v[1:M - 1, 2:M - 1]) / g.hx
     else:
-        block = d[2:M - 1, 1:M - 1]
-    return float(_weight(g) * np.sum(block ** 2))
+        d = (v[2:M - 1, 2:M] - v[2:M - 1, 1:M - 1]) / g.hy
+    return float(_weight(g) * np.sum(d ** 2))
 
 
 def _second_sq(field: Field, axis: Axis) -> float:
+    """Weighted sum of squared second differences over their index block, as
+    second_diff_values would give them but formed on the block alone."""
     g = field.grid
     M = g.M
-    d = second_diff_values(field.values, g.hx if axis is Axis.X else g.hy, axis)
-    if axis is Axis.X:
-        block = d[1:M, 2:M - 1]
+    v = field.values
+    if axis is Axis.X:      # i = 1..M-1, j = 2..M-2
+        h = g.hx
+        d = (v[2:, 2:M - 1] - 2 * v[1:M, 2:M - 1] + v[:M - 1, 2:M - 1]) / (h * h)
     else:
-        block = d[2:M - 1, 1:M]
-    return float(_weight(g) * np.sum(block ** 2))
+        h = g.hy
+        d = (v[2:M - 1, 2:] - 2 * v[2:M - 1, 1:M] + v[2:M - 1, :M - 1]) / (h * h)
+    return float(_weight(g) * np.sum(d ** 2))
 
 
 @dataclass(frozen=True)

@@ -496,13 +496,13 @@ def run(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig = SchemeConfig(),
         if have_exact:
             ex = Field(grid, np.asarray(problem.exact(X, Y, t), float))
             err = Field(grid, ex.values - f.values)
-            lu, le = l2_norm(ex), l2_norm(err)
-            rec.l2_u.append(lu)
-            rec.l2_err.append(le)
-            max_u.update(lu)
-            max_e.update(le)
-            max_h2u.update(h2_norm(ex, problem.alpha).h2)
-            max_h2e.update(h2_norm(err, problem.alpha).h2)
+            nu, ne = h2_norm(ex, problem.alpha), h2_norm(err, problem.alpha)
+            rec.l2_u.append(nu.l2)
+            rec.l2_err.append(ne.l2)
+            max_u.update(nu.l2)
+            max_e.update(ne.l2)
+            max_h2u.update(nu.h2)
+            max_h2e.update(ne.h2)
         while dump_left and t >= dump_left[0] - 0.25 * k:
             rec.snapshots[dump_left.pop(0)] = (t, f)
 

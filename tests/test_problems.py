@@ -3,7 +3,9 @@ import pytest
 
 from sobrlw import (ConfigurationError, ProblemSpec, example1, example2,
                     example3, get_problem, manufactured, residual_check)
-from sobrlw.problems import MANUFACTURED_PRESETS
+from sobrlw.grid import make_grid
+from sobrlw.problems import (MANUFACTURED_PRESETS, _dt, _dtxx, _dtyy, _dx,
+                             _dxx, _dy, _dyy)
 
 
 def test_example1_exact_values():
@@ -142,6 +144,73 @@ def test_manufactured_residual_small_by_construction():
     p = manufactured(0.9, 0.4, 0.6, MANUFACTURED_PRESETS["trig"])
     rc = residual_check(p, n_points=10, seed=1)
     assert rc.max_residual <= 1e-8
+
+
+def _nested_sources(alpha, beta, gamma, fn, X, Y, t):
+    """The per-sample nested differences that manufactured() once summed."""
+    f1 = (0.5 * _dt(fn, X, Y, t) - alpha * _dtxx(fn, X, Y, t)
+          - gamma * _dxx(fn, X, Y, t) + beta * _dx(fn, X, Y, t))
+    f2 = (0.5 * _dt(fn, X, Y, t) - alpha * _dtyy(fn, X, Y, t)
+          - gamma * _dyy(fn, X, Y, t) + beta * _dy(fn, X, Y, t))
+    return f1, f2
+
+
+def _phase_wave(X, Y, t):
+    return np.sin(np.pi * (X - t) + 2.1) * np.sin(np.pi * Y)
+
+
+_SQUARE = make_grid(0.0, 1.0, 0.0, 1.0, 64).mesh()
+_RECT = make_grid(0.0, 1.0, 0.0, 0.6, 16).mesh()
+_POINTS = (np.linspace(0.1, 0.9, 5), np.linspace(0.2, 0.5, 5))
+
+
+@pytest.mark.parametrize("coeffs, fn, X, Y, t", [
+    ((1.0, 0.0, 1.0), MANUFACTURED_PRESETS["wave"], *_SQUARE, 0.125),
+    ((0.6, 0.5, 0.7), MANUFACTURED_PRESETS["trig"], *_RECT, 0.3),
+    ((0.9, -0.4, 0.2), MANUFACTURED_PRESETS["poly"], *_POINTS, 0.7),
+    ((1.0, 0.3, 0.7), MANUFACTURED_PRESETS["poly"], 0.5, 0.5, 0.0),
+    ((0.7, 0.8, 0.6), _phase_wave, *_SQUARE, 0.01),
+    ((0.7, 0.8, 0.6), _phase_wave, 0.3, 0.8, 0.45),
+], ids=["wave-65x65", "trig-rect", "poly-points", "poly-scalar",
+        "phase-wave-65x65", "phase-wave-scalar"])
+def test_manufactured_source_is_bitwise_the_nested_differences(coeffs, fn, X, Y, t):
+    p = manufactured(*coeffs, fn)
+    f1, f2 = _nested_sources(*coeffs, fn, X, Y, t)
+    assert np.array_equal(p.f1(X, Y, t, None, None), f1)
+    assert np.array_equal(p.f2(X, Y, t, None, None), f2)
+
+
+def test_manufactured_source_calls_reference_once_per_time_offset():
+    # 7 calls per source (one per time offset), not 70 (one per sample)
+    times = []
+
+    def counting(X, Y, t):
+        times.append(t)
+        return MANUFACTURED_PRESETS["wave"](X, Y, t)
+
+    p = manufactured(1.0, 0.3, 0.7, counting)
+    X, Y = _RECT
+    p.f1(X, Y, 0.25, None, None)
+    assert len(times) == 7
+    p.f2(X, Y, 0.25, None, None)
+    assert len(times) == 14
+    assert all(np.ndim(t) == 0 for t in times)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda X, Y, t: 0.0 * X,
+    lambda X, Y, t: 1.0 + 0.0 * X,
+    lambda X, Y, t: 0.0,
+    lambda X, Y, t: np.sin(Y) * np.exp(-t),     # ignores x
+    lambda X, Y, t: np.cos(X) * (1.0 + t),      # ignores y
+], ids=["zero-array", "constant-array", "scalar", "no-x", "no-y"])
+def test_manufactured_source_broadcasts_partial_references(fn):
+    X, Y = _RECT
+    p = manufactured(0.9, 0.4, 0.6, fn)
+    for got, want in zip((p.f1(X, Y, 0.3, None, None), p.f2(X, Y, 0.3, None, None)),
+                         _nested_sources(0.9, 0.4, 0.6, fn, X, Y, 0.3)):
+        assert got.shape == X.shape
+        assert np.array_equal(got, np.broadcast_to(want, X.shape))
 
 
 def test_residual_check_requires_reference():
