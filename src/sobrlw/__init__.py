@@ -5,7 +5,7 @@ leapfrog/trapezoidal time stepping, pentadiagonal line solves, and a
 benchmark harness for convergence studies and discrete-identity checks.
 """
 
-__version__ = "0.2.2"
+__version__ = "0.3.0"
 
 from .errors import (BlowUpError, ConfigurationError, FrameError,
                      GridMismatchError, NumericalError, PicardError,
@@ -16,8 +16,7 @@ from .harness import (ConvergenceRow, RunManifest, VerifyReport,
                       emit_svg, rate, verify_suite)
 from .norms import (NormReport, RunningMax, SbpResiduals, directional_energy,
                     h2_norm, inner, l2_norm, sbp_residuals)
-from .penta import (DominanceWarning, PentaBands, PentaFactorization,
-                    TensorLineSolver, assemble_line_operator, factor,
+from .penta import (PentaBands, PentaFactorization, TensorLineSolver, factor,
                     multiply_line, solve_line)
 from .problems import (ProblemSpec, ResidualCheck, example1, example2,
                        example3, get_problem, manufactured, residual_check)

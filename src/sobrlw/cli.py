@@ -158,10 +158,17 @@ def _parse_levels(spec) -> list:
 
 
 def _get_problem(opts: dict):
-    return get_problem(str(opts.get("problem", "example1")),
-                       alpha=_number(float, "alpha", opts.get("alpha", 1.0)),
-                       beta=_number(float, "beta", opts.get("beta", 0.0)),
-                       gamma=_number(float, "gamma", opts.get("gamma", 1.0)))
+    name = str(opts.get("problem", "example1"))
+    problem = get_problem(name,
+                          alpha=_number(float, "alpha", opts.get("alpha", 1.0)),
+                          beta=_number(float, "beta", opts.get("beta", 0.0)),
+                          gamma=_number(float, "gamma", opts.get("gamma", 1.0)))
+    given = [key for key in ("alpha", "beta", "gamma") if key in opts]
+    if given and not name.startswith("manufactured:"):
+        raise ConfigurationError(
+            f"--{given[0]} applies only to manufactured:<preset> problems; "
+            f"{name} fixes its own coefficients")
+    return problem
 
 
 def _final_time(opts: dict, problem) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FrameError
 from .grid import Field
-from .stencils import (Axis, half_diff_values, second_diff_values,
+from .stencils import (Axis, _h, _second_diff, axis_first, half_diff_values,
                        wide_first_values, wide_second_values)
 
 INNER_VARIANTS = ("plain", "half_x", "half_y", "second_x", "second_y",
@@ -42,32 +42,29 @@ def l2_norm(field: Field) -> float:
     return float(np.sqrt(_weight(field.grid) * np.sum(field.interior ** 2)))
 
 
+def _nodes(field: Field, axis: Axis, along: slice) -> np.ndarray:
+    """Values at nodes `along` the axis and 2..M-2 across it."""
+    M = field.grid.M
+    return axis_first(axis_first(field.values, axis)[along, 2:M - 1], axis)
+
+
+def _half_block(field: Field, axis: Axis) -> np.ndarray:
+    """Half differences at i+1/2 for i = 1..M-2 along axis (see the table)."""
+    return half_diff_values(_nodes(field, axis, slice(1, field.grid.M)),
+                            _h(field.grid, axis), axis)
+
+
+def _second_block(field: Field, axis: Axis) -> np.ndarray:
+    """Second differences at i = 1..M-1 along axis (see the table)."""
+    return _second_diff(_nodes(field, axis, slice(None)), _h(field.grid, axis), axis)
+
+
 def _half_sq(field: Field, axis: Axis) -> float:
-    """Weighted sum of squared half differences over their index block, as
-    half_diff_values would give them but formed on the block alone."""
-    g = field.grid
-    M = g.M
-    v = field.values
-    if axis is Axis.X:      # half points i+1/2 for i = 1..M-2, j = 2..M-2
-        d = (v[2:M, 2:M - 1] - v[1:M - 1, 2:M - 1]) / g.hx
-    else:
-        d = (v[2:M - 1, 2:M] - v[2:M - 1, 1:M - 1]) / g.hy
-    return float(_weight(g) * np.sum(d ** 2))
+    return float(_weight(field.grid) * np.sum(_half_block(field, axis) ** 2))
 
 
 def _second_sq(field: Field, axis: Axis) -> float:
-    """Weighted sum of squared second differences over their index block, as
-    second_diff_values would give them but formed on the block alone."""
-    g = field.grid
-    M = g.M
-    v = field.values
-    if axis is Axis.X:      # i = 1..M-1, j = 2..M-2
-        h = g.hx
-        d = (v[2:, 2:M - 1] - 2 * v[1:M, 2:M - 1] + v[:M - 1, 2:M - 1]) / (h * h)
-    else:
-        h = g.hy
-        d = (v[2:M - 1, 2:] - 2 * v[2:M - 1, 1:M] + v[2:M - 1, :M - 1]) / (h * h)
-    return float(_weight(g) * np.sum(d ** 2))
+    return float(_weight(field.grid) * np.sum(_second_block(field, axis) ** 2))
 
 
 @dataclass(frozen=True)
@@ -105,9 +102,8 @@ def h2_norm(field: Field, alpha: float) -> NormReport:
 
 def directional_energy(field: Field, axis: Axis, alpha: float) -> float:
     """l2^2 + alpha*(|half_z|^2 + (h_z^2/12)|second_z|^2) for one axis z."""
-    g = field.grid
-    h = g.hx if axis is Axis.X else g.hy
-    l2_sq = _weight(g) * float(np.sum(field.interior ** 2))
+    h = _h(field.grid, axis)
+    l2_sq = _weight(field.grid) * float(np.sum(field.interior ** 2))
     return l2_sq + alpha * (_half_sq(field, axis) + (h * h / 12.0) * _second_sq(field, axis))
 
 
@@ -120,35 +116,19 @@ def inner(u: Field, v: Field, variant: str = "plain") -> float:
     """
     u.same_grid(v)
     g = u.grid
-    M = g.M
     w = _weight(g)
     if variant == "plain":
         return float(w * np.sum(u.interior * v.interior))
-    if variant in ("half_x", "half_y"):
-        axis = Axis.X if variant.endswith("x") else Axis.Y
-        h = g.hx if axis is Axis.X else g.hy
-        du = half_diff_values(u.values, h, axis)
-        dv = half_diff_values(v.values, h, axis)
-        if axis is Axis.X:
-            return float(w * np.sum(du[1:M - 1, 2:M - 1] * dv[1:M - 1, 2:M - 1]))
-        return float(w * np.sum(du[2:M - 1, 1:M - 1] * dv[2:M - 1, 1:M - 1]))
-    if variant in ("second_x", "second_y"):
-        axis = Axis.X if variant.endswith("x") else Axis.Y
-        h = g.hx if axis is Axis.X else g.hy
-        du = second_diff_values(u.values, h, axis)
-        dv = second_diff_values(v.values, h, axis)
-        if axis is Axis.X:
-            return float(w * np.sum(du[1:M, 2:M - 1] * dv[1:M, 2:M - 1]))
-        return float(w * np.sum(du[2:M - 1, 1:M] * dv[2:M - 1, 1:M]))
-    if variant in ("wide1_x", "wide1_y", "wide2_x", "wide2_y"):
-        axis = Axis.X if variant.endswith("x") else Axis.Y
-        h = g.hx if axis is Axis.X else g.hy
-        op = wide_first_values if variant.startswith("wide1") else wide_second_values
-        du = op(u.values, h, axis)
-        s = g.interior
-        return float(w * np.sum(du[s, s] * v.interior))
-    raise ConfigurationError(f"unknown inner-product variant {variant!r}; "
-                             f"expected one of {INNER_VARIANTS}")
+    if variant not in INNER_VARIANTS:
+        raise ConfigurationError(f"unknown inner-product variant {variant!r}; "
+                                 f"expected one of {INNER_VARIANTS}")
+    axis = Axis.X if variant.endswith("x") else Axis.Y
+    if variant.startswith(("half", "second")):
+        block = _half_block if variant.startswith("half") else _second_block
+        return float(w * np.sum(block(u, axis) * block(v, axis)))
+    op = wide_first_values if variant.startswith("wide1") else wide_second_values
+    s = g.interior
+    return float(w * np.sum(op(u.values, _h(g, axis), axis)[s, s] * v.interior))
 
 
 def is_frame_vanishing(field: Field, tol: float = 0.0) -> bool:

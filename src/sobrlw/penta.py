@@ -5,10 +5,11 @@ diagonals plus coupling of the first/last two rows to known boundary
 layers.  Systems are factored once (LU without pivoting, O(n)) and reused
 across all lines and time steps; right-hand sides may be batched.
 
-The wide second-derivative stencil makes the assembled operators lose
-strict diagonal dominance (|row off-diagonal sum| = 34w against a diagonal
-of 1 + 30w), so dominance is checked and reported, not assumed; the
-factorization is protected by residual tests instead.
+The wide second-derivative stencil makes the line operators not
+diagonally dominant (|row off-diagonal sum| = 34w against a diagonal of
+1 + 30w), so nothing guarantees the pivots: factor checks every one and
+raises SingularSystemError on a zero, and the dense oracles of the test
+suite bound the residuals of the solves.
 
 A factorization may stack several systems that share four diagonals and
 differ in the main one (PentaBands.c_0 holding one value per system): every
@@ -19,18 +20,12 @@ all x-eigenmodes are factored, and solved, in one batched sweep over rows.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, SingularSystemError
-from .grid import Grid2D
-from .stencils import Axis, WIDE_FIRST_W, WIDE_SECOND_W
-
-
-class DominanceWarning(UserWarning):
-    """Assembled line operator is not strictly diagonally dominant."""
+from .stencils import WIDE_FIRST_W, WIDE_SECOND_W
 
 
 @dataclass(frozen=True)
@@ -52,11 +47,6 @@ class PentaBands:
     def coefficients(self) -> np.ndarray:
         return np.array([self.c_mm, self.c_m, self.c_0, self.c_p, self.c_pp])
 
-    @property
-    def dominance_margin(self) -> float:
-        return abs(self.c_0) - (abs(self.c_mm) + abs(self.c_m)
-                                + abs(self.c_p) + abs(self.c_pp))
-
     def shifted(self, delta: float) -> "PentaBands":
         """Same bands with delta added to the main diagonal; an (m,) delta
         gives m stacked systems."""
@@ -72,32 +62,13 @@ class PentaBands:
 
 def stencil_coefficients(h: float, alpha: float, beta: float, gamma: float,
                          theta: float) -> np.ndarray:
-    """Stencil of  -alpha*wide_second - theta*(gamma*wide_second - beta*wide_first)  (no identity)."""
+    """Stencil of  -alpha*wide_second - theta*(gamma*wide_second - beta*wide_first)  (no identity).
+
+    PentaBands(*c, n=n).shifted(1.0) are the bands of I plus this stencil on
+    the n interior unknowns of one grid line.
+    """
     return (-(alpha + theta * gamma) / (12.0 * h * h)) * WIDE_SECOND_W \
         + (theta * beta / (12.0 * h)) * WIDE_FIRST_W
-
-
-def assemble_line_operator(grid: Grid2D, axis: Axis, alpha: float, beta: float,
-                           gamma: float, theta: float, warn: bool = True) -> PentaBands:
-    """Bands of  I - alpha*wide_second_z - theta*(gamma*wide_second_z - beta*wide_first_z)
-    on the interior unknowns 2..M-2 of one grid line (n = M-3).
-    """
-    if alpha <= 0:
-        raise ConfigurationError(f"alpha must be positive, got {alpha}")
-    if theta < 0:
-        raise ConfigurationError(f"theta must be nonnegative, got {theta}")
-    h = grid.hx if axis is Axis.X else grid.hy
-    c = stencil_coefficients(h, alpha, beta, gamma, theta)
-    c[2] += 1.0
-    bands = PentaBands(*c, n=grid.n_interior)
-    if warn and bands.dominance_margin <= 0.0:
-        off = abs(c[0]) + abs(c[1]) + abs(c[3]) + abs(c[4])
-        warnings.warn(
-            f"line operator is not strictly diagonally dominant "
-            f"(|diag|/off-diagonal = {abs(c[2]) / off:.4f}); factoring without "
-            f"pivoting anyway, residuals are verified by the test suite",
-            DominanceWarning, stacklevel=2)
-    return bands
 
 
 @dataclass(frozen=True)
@@ -184,14 +155,6 @@ def multiply_line(bands: PentaBands, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def symmetric_eigendecomposition(bands: PentaBands):
-    """Eigendecomposition A = Q diag(lam) Q^T of a symmetric penta operator."""
-    if not (np.isclose(bands.c_m, bands.c_p) and np.isclose(bands.c_mm, bands.c_pp)):
-        raise ConfigurationError("eigendecomposition requires symmetric bands")
-    lam, Q = np.linalg.eigh(bands.dense())
-    return lam, Q
-
-
 class TensorLineSolver:
     """Direct solver for (I + Ax (+) Ay) V = B on the (M-3)^2 interior.
 
@@ -203,7 +166,10 @@ class TensorLineSolver:
     """
 
     def __init__(self, ax_bands: PentaBands, ay_bands: PentaBands):
-        self.lam, self.Q = symmetric_eigendecomposition(ax_bands)
+        if not (np.isclose(ax_bands.c_m, ax_bands.c_p)
+                and np.isclose(ax_bands.c_mm, ax_bands.c_pp)):
+            raise ConfigurationError("TensorLineSolver requires symmetric x-bands")
+        self.lam, self.Q = np.linalg.eigh(ax_bands.dense())
         self.fact = factor(ay_bands.shifted(1.0 + self.lam))
 
     def solve(self, B: np.ndarray) -> np.ndarray:

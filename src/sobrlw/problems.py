@@ -163,40 +163,13 @@ def _stencil2(samples, h):
     return sum(w * s for w, s in zip(_W2, samples)) / (180.0 * h * h)
 
 
-def _dt(fn, X, Y, t, h=_DIFF_STEP):
-    return _stencil1([fn(X, Y, t + m * h) for m in range(-3, 4)], h)
+def _directional_derivatives(fn, X, Y, t, axis):
+    """u_t, u_z, u_zz and u_tzz of fn for z = x (axis 0) or y (axis 1).
 
-
-def _dx(fn, X, Y, t, h=_DIFF_STEP):
-    return _stencil1([fn(X + m * h, Y, t) for m in range(-3, 4)], h)
-
-
-def _dy(fn, X, Y, t, h=_DIFF_STEP):
-    return _stencil1([fn(X, Y + m * h, t) for m in range(-3, 4)], h)
-
-
-def _dxx(fn, X, Y, t, h=_DIFF_STEP):
-    return _stencil2([fn(X + m * h, Y, t) for m in range(-3, 4)], h)
-
-
-def _dyy(fn, X, Y, t, h=_DIFF_STEP):
-    return _stencil2([fn(X, Y + m * h, t) for m in range(-3, 4)], h)
-
-
-def _dtxx(fn, X, Y, t, h=_DIFF_STEP):
-    return _dt(lambda a, b, s: _dxx(fn, a, b, s), X, Y, t, h)
-
-
-def _dtyy(fn, X, Y, t, h=_DIFF_STEP):
-    return _dt(lambda a, b, s: _dyy(fn, a, b, s), X, Y, t, h)
-
-
-def _directional_source(fn, X, Y, t, axis, alpha, beta, gamma):
-    """0.5*u_t - alpha*u_tzz - gamma*u_zz + beta*u_z for z = x (axis 0) or y.
-
-    The same 49 samples, sums and nesting as the helpers above, bit for
-    bit, but each time offset t + n*h takes all seven z offsets in one call
-    of fn on a stack of coordinates, so one source makes 7 calls of fn.
+    Sixth-order central differences with step _DIFF_STEP, u_tzz nested as
+    d/dt of d2/dz2, over 49 samples; each time offset t + n*h takes all seven
+    z offsets in one call of fn on a stack of coordinates, so the four
+    derivatives cost 7 calls of fn.
     """
     h = _DIFF_STEP
     shape = np.broadcast_shapes(np.shape(X), np.shape(Y))
@@ -210,8 +183,7 @@ def _directional_source(fn, X, Y, t, axis, alpha, beta, gamma):
         if n == 0:
             u_z = _stencil1(z_samples, h)
     # tzz_samples[3], the n = 0 entry, is u_zz
-    return (0.5 * _stencil1(t_samples, h) - alpha * _stencil1(tzz_samples, h)
-            - gamma * tzz_samples[3] + beta * u_z)
+    return _stencil1(t_samples, h), u_z, tzz_samples[3], _stencil1(tzz_samples, h)
 
 
 def manufactured(alpha: float, beta: float, gamma: float, exact_u: Callable,
@@ -229,15 +201,15 @@ def manufactured(alpha: float, beta: float, gamma: float, exact_u: Callable,
     shifted copies of X (or Y) on a new first axis.  A result that ignores
     a coordinate or is a scalar is broadcast to the stack.
     """
-    def f1(X, Y, t, U, UX):
-        return _directional_source(exact_u, X, Y, t, 0, alpha, beta, gamma)
-
-    def f2(X, Y, t, U, UY):
-        return _directional_source(exact_u, X, Y, t, 1, alpha, beta, gamma)
+    def source(axis):
+        def f(X, Y, t, U, UZ):
+            u_t, u_z, u_zz, u_tzz = _directional_derivatives(exact_u, X, Y, t, axis)
+            return 0.5 * u_t - alpha * u_tzz - gamma * u_zz + beta * u_z
+        return f
 
     return ProblemSpec(
         name=name, alpha=alpha, beta=beta, gamma=gamma,
-        f1=f1, f2=f2,
+        f1=source(0), f2=source(1),
         u0=lambda X, Y: exact_u(X, Y, 0.0),
         g=lambda X, Y, t: exact_u(X, Y, t),
         exact=exact_u,
@@ -270,15 +242,16 @@ def residual_check(spec: ProblemSpec, n_points: int = 20, seed: int = 0) -> Resi
     X = rng.uniform(spec.L1 + pad_x, spec.L2 - pad_x, n_points)
     Y = rng.uniform(spec.L3 + pad_y, spec.L4 - pad_y, n_points)
     ts = rng.uniform(0.05 * spec.T, 0.95 * spec.T, n_points)
+    # one scalar sample per call: numpy rounds a scalar ** through pow and an
+    # array ** by multiplication, so a stacked call could move the last bits
+    exact = np.vectorize(spec.exact, otypes=[float])
     res = np.empty(n_points)
     for m in range(n_points):
         x, y, t = X[m], Y[m], ts[m]
         u = spec.exact(x, y, t)
-        ux = _dx(spec.exact, x, y, t)
-        uy = _dy(spec.exact, x, y, t)
-        lhs = (_dt(spec.exact, x, y, t)
-               - spec.alpha * (_dtxx(spec.exact, x, y, t) + _dtyy(spec.exact, x, y, t))
-               - spec.gamma * (_dxx(spec.exact, x, y, t) + _dyy(spec.exact, x, y, t))
+        ut, ux, uxx, utxx = _directional_derivatives(exact, x, y, t, 0)
+        _, uy, uyy, utyy = _directional_derivatives(exact, x, y, t, 1)
+        lhs = (ut - spec.alpha * (utxx + utyy) - spec.gamma * (uxx + uyy)
                + spec.beta * (ux + uy))
         rhs = spec.f1(x, y, t, u, ux) + spec.f2(x, y, t, u, uy)
         res[m] = abs(lhs - rhs)

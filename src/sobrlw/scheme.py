@@ -49,8 +49,8 @@ import numpy as np
 from .errors import BlowUpError, ConfigurationError, PicardError
 from .grid import Field, Grid2D, TimeGrid, sample
 from .norms import RunningMax, h2_norm, l2_norm
-from .penta import (PentaBands, TensorLineSolver, assemble_line_operator,
-                    factor, solve_line, stencil_coefficients)
+from .penta import (PentaBands, TensorLineSolver, factor, solve_line,
+                    stencil_coefficients)
 from .problems import ProblemSpec
 from .stencils import Axis, axis_first, five_point, wide_first_values
 
@@ -313,19 +313,21 @@ class _SplitEngine(_Engine):
     """The literal directional composition (see the module docstring)."""
 
     def _build(self):
-        g, p, k = self.grid, self.problem, self.k
+        g, p, k, n = self.grid, self.problem, self.k, self.n
         th = k / 4.0
+
+        def line_op(axis, lhs, rhs):
+            fact = factor(PentaBands(*lhs[axis.value], n=n).shifted(1.0))
+            return _Operator(lhs, rhs, partial(_line_solve, fact, axis))
+
         self._ops = {}
         for axis, h in ((Axis.X, g.hx), (Axis.Y, g.hy)):
             def along(theta, axis=axis, h=h):
                 c = stencil_coefficients(h, p.alpha, p.beta, p.gamma, theta)
                 return (c, None) if axis is Axis.X else (None, c)
-            fact = factor(assemble_line_operator(g, axis, p.alpha, p.beta, p.gamma, th))
-            self._ops[axis] = _Operator(along(th), along(-self.s * th),
-                                        partial(_line_solve, fact, axis))
+            self._ops[axis] = line_op(axis, along(th), along(-self.s * th))
         mass = (stencil_coefficients(g.hx, self.a_mass, 0.0, 0.0, 0.0), None)
-        fact = factor(assemble_line_operator(g, Axis.X, self.a_mass, 0.0, 0.0, 0.0))
-        self._ops["leapfrog"] = _Operator(mass, mass, partial(_line_solve, fact, Axis.X))
+        self._ops["leapfrog"] = line_op(Axis.X, mass, mass)
         # +(gamma*wide_second - beta*wide_first), the explicit middle term
         self._c_mid = -stencil_coefficients(g.hx, 0.0, p.beta, p.gamma, 1.0)
 

@@ -37,30 +37,21 @@ def _h(grid, axis: Axis) -> float:
     return grid.hx if axis is Axis.X else grid.hy
 
 
-def _as_values(field) -> np.ndarray:
-    return field.values if isinstance(field, Field) else np.asarray(field, float)
+def axis_first(values: np.ndarray, axis: Axis) -> np.ndarray:
+    """View of values with `axis` as the leading axis (the transpose for Y)."""
+    return values if axis is Axis.X else values.T
 
 
 def half_diff_values(values: np.ndarray, h: float, axis: Axis) -> np.ndarray:
     """Half-point differences; entry m holds the value at m + 1/2."""
-    if axis is Axis.X:
-        return (values[1:, :] - values[:-1, :]) / h
-    return (values[:, 1:] - values[:, :-1]) / h
+    v = axis_first(values, axis)
+    return axis_first((v[1:] - v[:-1]) / h, axis)
 
 
-def second_diff_values(values: np.ndarray, h: float, axis: Axis) -> np.ndarray:
-    M = values.shape[0] - 1
-    out = np.zeros_like(values)
-    if axis is Axis.X:
-        out[1:M, :] = (values[2:, :] - 2 * values[1:M, :] + values[:M - 1, :]) / (h * h)
-    else:
-        out[:, 1:M] = (values[:, 2:] - 2 * values[:, 1:M] + values[:, :M - 1]) / (h * h)
-    return out
-
-
-def axis_first(values: np.ndarray, axis: Axis) -> np.ndarray:
-    """View of values with `axis` as the leading axis (the transpose for Y)."""
-    return values if axis is Axis.X else values.T
+def _second_diff(values: np.ndarray, h: float, axis: Axis) -> np.ndarray:
+    """Second differences at nodes 1..L-1 along axis, for L + 1 nodes there."""
+    v = axis_first(values, axis)
+    return axis_first((v[2:] - 2 * v[1:-1] + v[:-2]) / (h * h), axis)
 
 
 def five_point(values: np.ndarray, w: np.ndarray, axis: Axis) -> np.ndarray:
@@ -74,18 +65,24 @@ def five_point(values: np.ndarray, w: np.ndarray, axis: Axis) -> np.ndarray:
                       + w[3] * v[3:M] + w[4] * v[4:M + 1], axis)
 
 
-def _wide(values: np.ndarray, h: float, axis: Axis, w: np.ndarray, scale: float) -> np.ndarray:
+def _padded(values: np.ndarray, inner: np.ndarray, axis: Axis, width: int) -> np.ndarray:
+    """inner on the nodes `width`.. from each end along axis, zeros outside."""
     out = np.zeros_like(values)
-    axis_first(out, axis)[2:-2] = axis_first(five_point(values, w, axis), axis) / scale
+    axis_first(out, axis)[width:-width] = axis_first(inner, axis)
     return out
 
 
+def second_diff_values(values: np.ndarray, h: float, axis: Axis) -> np.ndarray:
+    return _padded(values, _second_diff(values, h, axis), axis, 1)
+
+
 def wide_first_values(values: np.ndarray, h: float, axis: Axis) -> np.ndarray:
-    return _wide(values, h, axis, WIDE_FIRST_W, 12.0 * h)
+    return _padded(values, five_point(values, WIDE_FIRST_W, axis) / (12.0 * h), axis, 2)
 
 
 def wide_second_values(values: np.ndarray, h: float, axis: Axis) -> np.ndarray:
-    return _wide(values, h, axis, WIDE_SECOND_W, 12.0 * h * h)
+    return _padded(values, five_point(values, WIDE_SECOND_W, axis) / (12.0 * h * h),
+                   axis, 2)
 
 
 def half_diff(field: Field, axis: Axis) -> np.ndarray:

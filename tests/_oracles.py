@@ -116,3 +116,62 @@ def loop_directional_energy(values, hx, hy, M, axis_x, alpha):
     c = sum(((values[i, j + 1] - 2 * values[i, j] + values[i, j - 1]) / hy ** 2) ** 2
             for i in range(2, M - 1) for j in range(1, M))
     return w * (l2 + alpha * (g + hy ** 2 / 12.0 * c))
+
+
+# nested sixth-order central differences of a reference solution, one call of
+# fn per sample (step 1e-2, as in sobrlw.problems)
+_STEP = 1e-2
+_W1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0])      # /(60 h)
+_W2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0])  # /(180 h^2)
+
+
+def _stencil1(samples, h):
+    return sum(w * s for w, s in zip(_W1, samples)) / (60.0 * h)
+
+
+def _stencil2(samples, h):
+    return sum(w * s for w, s in zip(_W2, samples)) / (180.0 * h * h)
+
+
+def nested_dt(fn, X, Y, t, h=_STEP):
+    return _stencil1([fn(X, Y, t + m * h) for m in range(-3, 4)], h)
+
+
+def nested_dx(fn, X, Y, t, h=_STEP):
+    return _stencil1([fn(X + m * h, Y, t) for m in range(-3, 4)], h)
+
+
+def nested_dy(fn, X, Y, t, h=_STEP):
+    return _stencil1([fn(X, Y + m * h, t) for m in range(-3, 4)], h)
+
+
+def nested_dxx(fn, X, Y, t, h=_STEP):
+    return _stencil2([fn(X + m * h, Y, t) for m in range(-3, 4)], h)
+
+
+def nested_dyy(fn, X, Y, t, h=_STEP):
+    return _stencil2([fn(X, Y + m * h, t) for m in range(-3, 4)], h)
+
+
+def nested_dtxx(fn, X, Y, t, h=_STEP):
+    return nested_dt(lambda a, b, s: nested_dxx(fn, a, b, s), X, Y, t, h)
+
+
+def nested_dtyy(fn, X, Y, t, h=_STEP):
+    return nested_dt(lambda a, b, s: nested_dyy(fn, a, b, s), X, Y, t, h)
+
+
+def loop_inner_diff(u, v, hx, hy, M, variant):
+    """inner(u, v, variant) for half_x/half_y/second_x/second_y, with loops
+    over the ranges of the norms table (p along the axis, q across it)."""
+    along_x = variant.endswith("x")
+    h = hx if along_x else hy
+    at = (lambda a, p, q: a[p, q]) if along_x else (lambda a, p, q: a[q, p])
+    if variant.startswith("half"):
+        diff = lambda a, p, q: (at(a, p + 1, q) - at(a, p, q)) / h
+        along = range(1, M - 1)
+    else:
+        diff = lambda a, p, q: (at(a, p + 1, q) - 2 * at(a, p, q) + at(a, p - 1, q)) / h ** 2
+        along = range(1, M)
+    return hx * hy * sum(diff(u, p, q) * diff(v, p, q)
+                         for p in along for q in range(2, M - 1))

@@ -57,8 +57,6 @@ from sobrlw.stencils import Axis
 from _oracles import constrained_2d_solve, directional_coeffs
 from test_scheme import constant_problem, linear_source_problem, zero_problem
 
-pytestmark = pytest.mark.filterwarnings("ignore::sobrlw.DominanceWarning")
-
 CFG = SchemeConfig()    # derived signs, alpha on, exact boundaries, coupled
 
 TABLE_LEVELS = [1, 2, 3, 4, 5, 6]   # level 1 up to the harness cap

@@ -12,8 +12,6 @@ from sobrlw.harness import make_manifest
 
 from test_scheme import zero_problem
 
-pytestmark = pytest.mark.filterwarnings("ignore::sobrlw.DominanceWarning")
-
 
 def test_rate_quadruple():
     assert rate(4.0e-3, 1.0e-3) == 2.0
@@ -254,11 +252,19 @@ def test_cli_io_error_exit_code(tmp_path):
     (["convergence"], '{"problem": "example1", "levels": [2, 2.5]}'),
     (["verify"], '{"M": 8, "seed": 0.5}'),
     (["verify"], '{"M": 8, "seed": false}'),
+    # model coefficients apply only to manufactured problems
+    (["solve", "--problem", "example1", "--M", "8", "--alpha", "0.5",
+      "--beta", "0.3"], None),
+    (["solve", "--M", "8", "--gamma", "0.5"], None),
+    (["convergence", "--problem", "example2", "--levels", "2..2",
+      "--beta", "0.1"], None),
+    (["solve"], "problem = example3\nM = 8\nalpha = 0.5\n"),
 ], ids=["k-abc", "levels-a..b", "T-nan", "k-inf", "config-M-abc",
         "json-list-value", "json-malformed", "config-unknown-key",
         "json-dump-at-scalar", "json-M-fractional", "json-M-bool", "json-M-inf",
         "json-T-bool", "json-levels-fractional", "json-seed-fractional",
-        "json-seed-bool"])
+        "json-seed-bool", "example1-alpha-beta", "default-problem-gamma",
+        "example2-beta", "config-example3-alpha"])
 def test_cli_malformed_input_is_config_error(tmp_path, capsys, argv, config):
     if config is not None:
         path = tmp_path / "run.cfg"

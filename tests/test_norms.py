@@ -6,7 +6,11 @@ from sobrlw import (Axis, ConfigurationError, Field, FrameError, RunningMax,
                     sample, sbp_residuals)
 from sobrlw.harness import random_frame_vanishing
 
-from _oracles import loop_directional_energy, loop_h2_sq, loop_l2_norm
+from _oracles import (loop_directional_energy, loop_h2_sq, loop_inner_diff,
+                      loop_l2_norm)
+
+# the unit square, and a rectangle whose hx = 0.2 and hy = 0.17 differ
+SQUARE_AND_RECT = (make_grid(0, 1, 0, 1, 10), make_grid(0, 2, -1, 0.7, 10))
 
 
 def test_l2_ones_field_counts_interior():
@@ -88,11 +92,22 @@ def test_wide_second_pairing_identity():
 
 def test_h2_norm_matches_loop_oracle():
     rng = np.random.default_rng(5)
-    g = make_grid(0, 1, 0, 1, 10)
-    f = Field(g, rng.standard_normal((11, 11)))
-    rep = h2_norm(f, alpha=0.8)
-    want = loop_h2_sq(f.values, g.hx, g.hy, 10, 0.8)
-    assert abs(rep.h2 ** 2 - want) <= 1e-14 * want
+    for g in SQUARE_AND_RECT:
+        f = Field(g, rng.standard_normal((11, 11)))
+        rep = h2_norm(f, alpha=0.8)
+        want = loop_h2_sq(f.values, g.hx, g.hy, 10, 0.8)
+        assert abs(rep.h2 ** 2 - want) <= 1e-14 * want
+
+
+def test_inner_difference_variants_match_loop_oracle():
+    rng = np.random.default_rng(11)
+    for g in SQUARE_AND_RECT:
+        u = Field(g, rng.standard_normal((11, 11)))
+        v = Field(g, rng.standard_normal((11, 11)))
+        for variant in ("half_x", "half_y", "second_x", "second_y"):
+            want = loop_inner_diff(u.values, v.values, g.hx, g.hy, 10, variant)
+            got = inner(u, v, variant)
+            assert abs(got - want) <= 1e-13 * (1.0 + abs(want)), (g.hy, variant)
 
 
 def test_h2_norm_zero_field():
@@ -120,14 +135,14 @@ def test_h2_rejects_nonpositive_alpha():
 
 
 def test_directional_energy_zero_and_oracle():
-    g = make_grid(0, 1, 0, 1, 10)
-    assert directional_energy(Field(g, np.zeros((11, 11))), Axis.X, 1.0) == 0.0
     rng = np.random.default_rng(7)
-    f = Field(g, rng.standard_normal((11, 11)))
-    for axis, is_x in ((Axis.X, True), (Axis.Y, False)):
-        want = loop_directional_energy(f.values, g.hx, g.hy, 10, is_x, 0.9)
-        got = directional_energy(f, axis, 0.9)
-        assert abs(got - want) <= 1e-14 * want
+    for g in SQUARE_AND_RECT:
+        assert directional_energy(Field(g, np.zeros((11, 11))), Axis.X, 1.0) == 0.0
+        f = Field(g, rng.standard_normal((11, 11)))
+        for axis, is_x in ((Axis.X, True), (Axis.Y, False)):
+            want = loop_directional_energy(f.values, g.hx, g.hy, 10, is_x, 0.9)
+            got = directional_energy(f, axis, 0.9)
+            assert abs(got - want) <= 1e-14 * want
 
 
 def test_directional_energies_sum_to_h2_plus_l2():

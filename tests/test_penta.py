@@ -3,12 +3,12 @@ import time
 import numpy as np
 import pytest
 
-from sobrlw import (Axis, ConfigurationError, DominanceWarning, PentaBands,
-                    SingularSystemError, TensorLineSolver,
-                    assemble_line_operator, factor,
-                    make_grid, multiply_line, penta, solve_line)
+from sobrlw import (ConfigurationError, PentaBands, SingularSystemError,
+                    TensorLineSolver, factor, make_grid, multiply_line, penta,
+                    solve_line)
+from sobrlw.penta import stencil_coefficients
 
-from _oracles import constrained_2d_solve, dense_banded, dense_gauss_solve
+from _oracles import dense_banded, dense_gauss_solve
 
 
 def random_dominant_bands(rng, n):
@@ -17,11 +17,16 @@ def random_dominant_bands(rng, n):
     return PentaBands(off[0], off[1], c0, off[2], off[3], n=n)
 
 
+def line_bands(h, n, alpha, beta, gamma, theta):
+    """I - alpha*wide_second - theta*(gamma*wide_second - beta*wide_first),
+    as the split stepper factors it."""
+    return PentaBands(*stencil_coefficients(h, alpha, beta, gamma, theta),
+                      n=n).shifted(1.0)
+
+
 def test_assemble_hand_checked_coefficients():
     g = make_grid(0, 1, 0, 1, 4)   # h = 1/4
-    with pytest.warns(DominanceWarning):
-        bands = assemble_line_operator(g, Axis.X, alpha=1.0, beta=0.0,
-                                       gamma=0.0, theta=0.0)
+    bands = line_bands(g.hx, g.n_interior, alpha=1.0, beta=0.0, gamma=0.0, theta=0.0)
     w = 1.0 / (12 * 0.25 ** 2)     # = 4/3
     assert np.allclose(bands.coefficients,
                        [w, -16 * w, 1 + 30 * w, -16 * w, w])
@@ -33,35 +38,27 @@ def test_assemble_row_sums_one():
     # wide_second annihilates constants, so all rows sum to the identity
     g = make_grid(0, 1, 0, 1, 8)
     for theta in (0.0, 0.01):
-        bands = assemble_line_operator(g, Axis.X, alpha=1.0, beta=0.0,
-                                       gamma=1.0, theta=theta, warn=False)
+        bands = line_bands(g.hx, g.n_interior, alpha=1.0, beta=0.0,
+                           gamma=1.0, theta=theta)
         assert abs(bands.coefficients.sum() - 1.0) < 1e-12
 
 
 def test_assemble_theta_superposition():
     g = make_grid(0, 1, 0, 1, 8)
-    b0 = assemble_line_operator(g, Axis.Y, 1.0, 0.0, 1.0, 0.0, warn=False)
-    b1 = assemble_line_operator(g, Axis.Y, 1.0, 0.0, 1.0, 0.02, warn=False)
+    b0 = line_bands(g.hy, g.n_interior, 1.0, 0.0, 1.0, 0.0)
+    b1 = line_bands(g.hy, g.n_interior, 1.0, 0.0, 1.0, 0.02)
     # difference is -theta*gamma*(wide_second bands)
     w2 = np.array([-1, 16, -30, 16, -1]) / (12 * g.hy ** 2)
     assert np.allclose(b1.coefficients - b0.coefficients, -0.02 * w2)
 
 
-def test_assemble_validates_inputs():
-    g = make_grid(0, 1, 0, 1, 8)
-    with pytest.raises(ConfigurationError):
-        assemble_line_operator(g, Axis.X, alpha=0.0, beta=0, gamma=0, theta=0)
-    with pytest.raises(ConfigurationError):
-        assemble_line_operator(g, Axis.X, alpha=1.0, beta=0, gamma=0, theta=-1)
-
-
 def test_scheme_operator_is_not_diagonally_dominant():
     # |diag| = 1 + 30w < 34w = off-diagonal sum for benchmark resolutions;
-    # assembly must report it and proceed
+    # the solve must not rely on dominance
     g = make_grid(0, 1, 0, 1, 8)
-    with pytest.warns(DominanceWarning):
-        bands = assemble_line_operator(g, Axis.X, 1.0, 0.0, 1.0, 0.0)
-    assert bands.dominance_margin < 0.0
+    bands = line_bands(g.hx, g.n_interior, 1.0, 0.0, 1.0, 0.0)
+    c = np.abs(bands.coefficients)
+    assert c[2] < c[0] + c[1] + c[3] + c[4]
     fact = factor(bands)    # still factors fine
     rng = np.random.default_rng(0)
     x = rng.standard_normal(bands.n)

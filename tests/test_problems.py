@@ -4,8 +4,10 @@ import pytest
 from sobrlw import (ConfigurationError, ProblemSpec, example1, example2,
                     example3, get_problem, manufactured, residual_check)
 from sobrlw.grid import make_grid
-from sobrlw.problems import (MANUFACTURED_PRESETS, _dt, _dtxx, _dtyy, _dx,
-                             _dxx, _dy, _dyy)
+from sobrlw.problems import MANUFACTURED_PRESETS
+
+from _oracles import (nested_dt, nested_dtxx, nested_dtyy, nested_dx,
+                      nested_dxx, nested_dy, nested_dyy)
 
 
 def test_example1_exact_values():
@@ -148,10 +150,10 @@ def test_manufactured_residual_small_by_construction():
 
 def _nested_sources(alpha, beta, gamma, fn, X, Y, t):
     """The per-sample nested differences that manufactured() once summed."""
-    f1 = (0.5 * _dt(fn, X, Y, t) - alpha * _dtxx(fn, X, Y, t)
-          - gamma * _dxx(fn, X, Y, t) + beta * _dx(fn, X, Y, t))
-    f2 = (0.5 * _dt(fn, X, Y, t) - alpha * _dtyy(fn, X, Y, t)
-          - gamma * _dyy(fn, X, Y, t) + beta * _dy(fn, X, Y, t))
+    f1 = (0.5 * nested_dt(fn, X, Y, t) - alpha * nested_dtxx(fn, X, Y, t)
+          - gamma * nested_dxx(fn, X, Y, t) + beta * nested_dx(fn, X, Y, t))
+    f2 = (0.5 * nested_dt(fn, X, Y, t) - alpha * nested_dtyy(fn, X, Y, t)
+          - gamma * nested_dyy(fn, X, Y, t) + beta * nested_dy(fn, X, Y, t))
     return f1, f2
 
 
@@ -178,6 +180,38 @@ def test_manufactured_source_is_bitwise_the_nested_differences(coeffs, fn, X, Y,
     f1, f2 = _nested_sources(*coeffs, fn, X, Y, t)
     assert np.array_equal(p.f1(X, Y, t, None, None), f1)
     assert np.array_equal(p.f2(X, Y, t, None, None), f2)
+
+
+def _nested_residuals(spec, n_points, seed):
+    """residual_check's points and residual, from the nested differences."""
+    rng = np.random.default_rng(seed)
+    pad_x, pad_y = 0.05 * (spec.L2 - spec.L1), 0.05 * (spec.L4 - spec.L3)
+    X = rng.uniform(spec.L1 + pad_x, spec.L2 - pad_x, n_points)
+    Y = rng.uniform(spec.L3 + pad_y, spec.L4 - pad_y, n_points)
+    ts = rng.uniform(0.05 * spec.T, 0.95 * spec.T, n_points)
+    fn, out = spec.exact, []
+    for x, y, t in zip(X, Y, ts):
+        ux, uy = nested_dx(fn, x, y, t), nested_dy(fn, x, y, t)
+        lhs = (nested_dt(fn, x, y, t)
+               - spec.alpha * (nested_dtxx(fn, x, y, t) + nested_dtyy(fn, x, y, t))
+               - spec.gamma * (nested_dxx(fn, x, y, t) + nested_dyy(fn, x, y, t))
+               + spec.beta * (ux + uy))
+        u = fn(x, y, t)
+        out.append(abs(lhs - (spec.f1(x, y, t, u, ux) + spec.f2(x, y, t, u, uy))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("make", [
+    example2, example3,
+    lambda: manufactured(0.6, 0.5, 0.7, MANUFACTURED_PRESETS["trig"],
+                         bounds=(0.0, 1.0, 0.0, 0.6)),
+], ids=["example2", "example3", "trig-rect"])
+def test_residual_check_is_bitwise_the_nested_differences(make):
+    # example3's sech^2 squares scalars, where numpy rounds ** through pow:
+    # sampling it on stacked arrays instead moves one of these 10 residuals
+    spec = make()
+    rc = residual_check(spec, n_points=10, seed=0)
+    assert np.array_equal(rc.residuals, _nested_residuals(spec, 10, 0))
 
 
 def test_manufactured_source_calls_reference_once_per_time_offset():

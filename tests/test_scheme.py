@@ -12,8 +12,6 @@ from sobrlw.stencils import Axis
 
 from _oracles import constrained_2d_solve, directional_coeffs
 
-pytestmark = pytest.mark.filterwarnings("ignore::sobrlw.DominanceWarning")
-
 CFG_COUPLED = SchemeConfig()
 CFG_SPLIT = SchemeConfig(stepper="split")
 
@@ -158,15 +156,31 @@ def test_constant_preserved(cfg):
 # system is 3 x 3, so the coupled steps are also checked at M = 16, where a
 # wrong band or mode layout of the coupled solve shows.
 
-SEEDS_SQUARE_AND_RECT = pytest.mark.parametrize(
-    "seed, L4", [(seed, 1.0) for seed in range(3)] + [(seed, 0.6) for seed in range(3)],
-    ids=[str(seed) for seed in range(3)] + [f"rect-{seed}" for seed in range(3)])
-COUPLED_CASES = pytest.mark.parametrize(
-    "seed, L4, M",
-    [(seed, 1.0, 6) for seed in range(3)] + [(seed, 0.6, 6) for seed in range(3)]
-    + [(0, 1.0, 16), (0, 0.6, 16)],
-    ids=[str(seed) for seed in range(3)] + [f"rect-{seed}" for seed in range(3)]
-    + ["M16-0", "M16-rect-0"])
+_SEEDS = [(seed, 1.0) for seed in range(3)] + [(seed, 0.6) for seed in range(3)]
+_SEED_IDS = [str(seed) for seed in range(3)] + [f"rect-{seed}" for seed in range(3)]
+SEEDS_SQUARE_AND_RECT = pytest.mark.parametrize("seed, L4", _SEEDS, ids=_SEED_IDS)
+
+
+def with_leapfrog_alpha(argnames, cases, ids):
+    """The cases with leapfrog_alpha "on" under their ids, then with "off"."""
+    return pytest.mark.parametrize(
+        argnames + ", leapfrog_alpha",
+        [c + ("on",) for c in cases] + [c + ("off",) for c in cases],
+        ids=ids + [f"off-{i}" for i in ids])
+
+
+def mass_alpha(p, leapfrog_alpha):
+    """alpha of the three-level mass operator: 1.0 with leapfrog_alpha off."""
+    if leapfrog_alpha == "on":
+        return p.alpha
+    assert p.alpha < 1.0    # else "off" would not change the operator
+    return 1.0
+
+
+SPLIT_LEAPFROG_CASES = with_leapfrog_alpha("seed, L4", _SEEDS, _SEED_IDS)
+COUPLED_CASES = with_leapfrog_alpha(
+    "seed, L4, M", [(seed, L4, 6) for seed, L4 in _SEEDS] + [(0, 1.0, 16), (0, 0.6, 16)],
+    _SEED_IDS + ["M16-0", "M16-rect-0"])
 
 
 def fill_frame_dense(p, grid, t):
@@ -224,8 +238,8 @@ def test_split_cn_y_step_matches_dense(seed, L4):
     assert np.abs(got.values - ref).max() <= 1e-11
 
 
-@SEEDS_SQUARE_AND_RECT
-def test_split_leapfrog_matches_dense(seed, L4):
+@SPLIT_LEAPFROG_CASES
+def test_split_leapfrog_matches_dense(seed, L4, leapfrog_alpha):
     rng = np.random.default_rng(200 + seed)
     p = linear_source_problem(rng)
     M = 6
@@ -235,9 +249,10 @@ def test_split_leapfrog_matches_dense(seed, L4):
     X, Y = g.mesh()
     U_prev = Field(g, np.asarray(p.exact(X, Y, t_n - k / 2), float))
     U_mid = Field(g, np.asarray(p.exact(X, Y, t_n), float))
-    got = leapfrog_x_step(U_prev, U_mid, t_n, k, p, CFG_SPLIT)
+    got = leapfrog_x_step(U_prev, U_mid, t_n, k, p,
+                          SchemeConfig(stepper="split", leapfrog_alpha=leapfrog_alpha))
 
-    cx = directional_coeffs(g.hx, p.alpha, 0.0, 0.0, 0.0)
+    cx = directional_coeffs(g.hx, mass_alpha(p, leapfrog_alpha), 0.0, 0.0, 0.0)
     c_mid = -directional_coeffs(g.hx, 0.0, p.beta, p.gamma, 1.0)
     s = slice(2, M - 1)
     rhs = np.zeros((M + 1, M + 1))
@@ -252,19 +267,20 @@ def test_split_leapfrog_matches_dense(seed, L4):
 
 
 @COUPLED_CASES
-def test_coupled_startup_matches_dense(seed, L4, M):
+def test_coupled_startup_matches_dense(seed, L4, M, leapfrog_alpha):
     rng = np.random.default_rng(300 + seed)
     p = linear_source_problem(rng)
     g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
     X, Y = g.mesh()
     U0 = sample(g, lambda X_, Y_, t_: p.u0(X_, Y_))
-    got = init_half_step(U0, p, k, CFG_COUPLED)
+    got = init_half_step(U0, p, k, SchemeConfig(leapfrog_alpha=leapfrog_alpha))
 
-    cx = directional_coeffs(g.hx, p.alpha, p.beta, p.gamma, k / 4)
-    cy = directional_coeffs(g.hy, p.alpha, p.beta, p.gamma, k / 4)
-    crx = directional_coeffs(g.hx, p.alpha, p.beta, p.gamma, -k / 4)
-    cry = directional_coeffs(g.hy, p.alpha, p.beta, p.gamma, -k / 4)
+    a = mass_alpha(p, leapfrog_alpha)
+    cx = directional_coeffs(g.hx, a, p.beta, p.gamma, k / 4)
+    cy = directional_coeffs(g.hy, a, p.beta, p.gamma, k / 4)
+    crx = directional_coeffs(g.hx, a, p.beta, p.gamma, -k / 4)
+    cry = directional_coeffs(g.hy, a, p.beta, p.gamma, -k / 4)
     s = slice(2, M - 1)
     rhs = np.zeros((M + 1, M + 1))
     both = (sum(crx[o + 2] * U0.values[2 + o:M - 1 + o, s] for o in range(-2, 3))
@@ -280,7 +296,7 @@ def test_coupled_startup_matches_dense(seed, L4, M):
 
 
 @COUPLED_CASES
-def test_coupled_chain_step_matches_dense(seed, L4, M):
+def test_coupled_chain_step_matches_dense(seed, L4, M, leapfrog_alpha):
     rng = np.random.default_rng(400 + seed)
     p = linear_source_problem(rng)
     g = make_grid(0, 1, 0, L4, M)
@@ -291,12 +307,13 @@ def test_coupled_chain_step_matches_dense(seed, L4, M):
     U_mid = Field(g, np.asarray(p.exact(X, Y, t_n), float))
     state = SchemeState(n=int(round(t_n / k)), U_half=U_prev, U_int=U_mid)
     # advance performs two chain steps; replicate both with the dense oracle
-    nxt = advance(state, p, k, CFG_COUPLED)
+    nxt = advance(state, p, k, SchemeConfig(leapfrog_alpha=leapfrog_alpha))
 
-    cx = directional_coeffs(g.hx, p.alpha, p.beta, p.gamma, k / 2)
-    cy = directional_coeffs(g.hy, p.alpha, p.beta, p.gamma, k / 2)
-    crx = directional_coeffs(g.hx, p.alpha, p.beta, p.gamma, -k / 2)
-    cry = directional_coeffs(g.hy, p.alpha, p.beta, p.gamma, -k / 2)
+    a = mass_alpha(p, leapfrog_alpha)
+    cx = directional_coeffs(g.hx, a, p.beta, p.gamma, k / 2)
+    cy = directional_coeffs(g.hy, a, p.beta, p.gamma, k / 2)
+    crx = directional_coeffs(g.hx, a, p.beta, p.gamma, -k / 2)
+    cry = directional_coeffs(g.hy, a, p.beta, p.gamma, -k / 2)
     s = slice(2, M - 1)
 
     def chain_dense(base, mid, t_mid):

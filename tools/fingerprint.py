@@ -18,12 +18,11 @@ import argparse
 import hashlib
 import json
 import sys
-import warnings
 
 import numpy as np
 
-from sobrlw import (DominanceWarning, SchemeConfig, example1, example2, example3,
-                    get_problem, make_grid, manufactured, run)
+from sobrlw import (SchemeConfig, example1, example2, example3, get_problem,
+                    make_grid, manufactured, run)
 from sobrlw.problems import MANUFACTURED_PRESETS
 
 
@@ -39,6 +38,7 @@ CONFIGURATIONS = (
     ("manufactured:wave T=0.125", lambda: get_problem("manufactured:wave"), 64, {}, 0.125),
     *((f"trig-rect {s}", _trig_rect, M, {"stepper": s}, None)
       for s in ("coupled", "split") for M in (4, 5, 6, 7, 16)),
+    ("trig-rect leapfrog_alpha=off", _trig_rect, 16, {"leapfrog_alpha": "off"}, None),
     ("example2", example2, 16, {}, None),
     ("example3", example3, 16, {}, None),
     ("example3 split", example3, 16, {"stepper": "split"}, None),
@@ -66,9 +66,7 @@ def fingerprints(M=None) -> dict:
         if name in out:     # under --M, sizes of one label collapse into one
             continue
         p = make()
-        with warnings.catch_warnings():     # the split steps at small M warn
-            warnings.simplefilter("ignore", DominanceWarning)
-            rec = run(p, make_grid(p.L1, p.L2, p.L3, p.L4, size), SchemeConfig(**cfg), T=T)
+        rec = run(p, make_grid(p.L1, p.L2, p.L3, p.L4, size), SchemeConfig(**cfg), T=T)
         out[name] = fingerprint(rec)
     return out
 
