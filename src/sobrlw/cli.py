@@ -159,16 +159,14 @@ def _parse_levels(spec) -> list:
 
 def _get_problem(opts: dict):
     name = str(opts.get("problem", "example1"))
-    problem = get_problem(name,
-                          alpha=_number(float, "alpha", opts.get("alpha", 1.0)),
-                          beta=_number(float, "beta", opts.get("beta", 0.0)),
-                          gamma=_number(float, "gamma", opts.get("gamma", 1.0)))
-    given = [key for key in ("alpha", "beta", "gamma") if key in opts]
+    given = {key: _number(float, key, opts[key])
+             for key in ("alpha", "beta", "gamma") if key in opts}
     if given and not name.startswith("manufactured:"):
+        get_problem(name)       # an unknown name is reported as such
         raise ConfigurationError(
-            f"--{given[0]} applies only to manufactured:<preset> problems; "
-            f"{name} fixes its own coefficients")
-    return problem
+            f"--{next(iter(given))} applies only to manufactured:<preset> "
+            f"problems; {name} fixes its own coefficients")
+    return get_problem(name, **given)
 
 
 def _final_time(opts: dict, problem) -> float:

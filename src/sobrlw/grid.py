@@ -9,6 +9,7 @@ boundary-owned and are never updated by the interior scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -52,8 +53,17 @@ class Grid2D:
         return self.L3 + np.arange(self.M + 1) * self.hy
 
     def mesh(self):
-        """Coordinate arrays (X, Y), both (M+1) x (M+1), indexed [i, j]."""
-        return np.meshgrid(self.xs(), self.ys(), indexing="ij")
+        """Coordinate arrays (X, Y), both (M+1) x (M+1), indexed [i, j].
+
+        Built once per grid and shared by every caller, so both are read-only.
+        """
+        return self._mesh
+
+    @cached_property
+    def _mesh(self):
+        X, Y = np.meshgrid(self.xs(), self.ys(), indexing="ij")
+        X.flags.writeable = Y.flags.writeable = False
+        return X, Y
 
     @property
     def interior(self) -> slice:

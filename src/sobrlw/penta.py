@@ -166,8 +166,7 @@ class TensorLineSolver:
     """
 
     def __init__(self, ax_bands: PentaBands, ay_bands: PentaBands):
-        if not (np.isclose(ax_bands.c_m, ax_bands.c_p)
-                and np.isclose(ax_bands.c_mm, ax_bands.c_pp)):
+        if not (ax_bands.c_m == ax_bands.c_p and ax_bands.c_mm == ax_bands.c_pp):
             raise ConfigurationError("TensorLineSolver requires symmetric x-bands")
         self.lam, self.Q = np.linalg.eigh(ax_bands.dense())
         self.fact = factor(ay_bands.shifted(1.0 + self.lam))

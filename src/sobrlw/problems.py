@@ -163,16 +163,42 @@ def _stencil2(samples, h):
     return sum(w * s for w, s in zip(_W2, samples)) / (180.0 * h * h)
 
 
+def _open(A):
+    """A cut to length 1 along every axis on which it is constant.
+
+    On a meshgrid X becomes a column and Y a row, so an elementwise function
+    of them evaluates each distinct coordinate once.  Constancy is tested on
+    the bits, so the kept entries are the very floats of A (signed zeros and
+    NaNs included); only float64 arrays are cut, and the cut is returned
+    C-contiguous like the mesh it comes from.  Inputs with fewer than two
+    dimensions are returned as they are: numpy rounds a scalar ** differently
+    from an array **.
+    """
+    if np.ndim(A) < 2:
+        return A
+    A = np.asarray(A)
+    if A.dtype != np.float64:
+        return A
+    for axis in range(A.ndim):
+        first = A[(slice(None),) * axis + (slice(0, 1),)]
+        if (A.view(np.uint64) == first.view(np.uint64)).all():
+            A = first
+    return np.ascontiguousarray(A)
+
+
 def _directional_derivatives(fn, X, Y, t, axis):
     """u_t, u_z, u_zz and u_tzz of fn for z = x (axis 0) or y (axis 1).
 
     Sixth-order central differences with step _DIFF_STEP, u_tzz nested as
     d/dt of d2/dz2, over 49 samples; each time offset t + n*h takes all seven
     z offsets in one call of fn on a stack of coordinates, so the four
-    derivatives cost 7 calls of fn.
+    derivatives cost 7 calls of fn.  The coordinates are first cut to
+    length 1 along their constant axes (_open) and fn's result is broadcast
+    back to the full stack.
     """
     h = _DIFF_STEP
     shape = np.broadcast_shapes(np.shape(X), np.shape(Y))
+    X, Y = _open(X), _open(Y)
     shift = (np.arange(-3, 4) * h).reshape((7,) + (1,) * len(shape))
     coords = (X + shift, Y) if axis == 0 else (X, Y + shift)
     t_samples, tzz_samples = [], []
@@ -198,8 +224,11 @@ def manufactured(alpha: float, beta: float, gamma: float, exact_u: Callable,
 
     exact_u(X, Y, t) must be elementwise in X and Y and broadcast over a
     leading axis: the sources call it with a scalar t and a stack of seven
-    shifted copies of X (or Y) on a new first axis.  A result that ignores
-    a coordinate or is a scalar is broadcast to the stack.
+    shifted copies of X (or Y) on a new first axis.  Coordinate arrays of
+    two or more dimensions reach it cut to length 1 along every axis on
+    which they are constant (on a mesh, X as a column and Y as a row), so
+    it must not reduce over its inputs or rely on X.shape.  A result that
+    ignores a coordinate or is a scalar is broadcast to the stack.
     """
     def source(axis):
         def f(X, Y, t, U, UZ):
@@ -266,23 +295,34 @@ MANUFACTURED_PRESETS = {
 }
 
 
-def get_problem(name: str, alpha: float = 1.0, beta: float = 0.0,
-                gamma: float = 1.0) -> ProblemSpec:
-    """Look up a problem by CLI name: example1|example2|example3|manufactured:<preset>."""
-    if name == "example1":
-        return example1()
-    if name == "example2":
-        return example2()
-    if name == "example3":
-        return example3()
+def get_problem(name: str, alpha: Optional[float] = None,
+                beta: Optional[float] = None,
+                gamma: Optional[float] = None) -> ProblemSpec:
+    """Look up a problem by CLI name: example1|example2|example3|manufactured:<preset>.
+
+    alpha, beta and gamma are the coefficients of a manufactured problem
+    (None gives 1, 0 and 1); example1-3 fix their own, and giving any of
+    them there is a ConfigurationError.
+    """
+    examples = {"example1": example1, "example2": example2, "example3": example3}
+    if name in examples:
+        given = [key for key, value in (("alpha", alpha), ("beta", beta),
+                                        ("gamma", gamma)) if value is not None]
+        if given:
+            raise ConfigurationError(
+                f"{given[0]} applies only to manufactured:<preset> problems; "
+                f"{name} fixes its own coefficients")
+        return examples[name]()
     if name.startswith("manufactured:"):
         preset = name.split(":", 1)[1]
         if preset not in MANUFACTURED_PRESETS:
             raise ConfigurationError(
                 f"unknown manufactured preset {preset!r}; "
                 f"available: {sorted(MANUFACTURED_PRESETS)}")
-        return manufactured(alpha, beta, gamma, MANUFACTURED_PRESETS[preset],
-                            name=name)
+        return manufactured(1.0 if alpha is None else alpha,
+                            0.0 if beta is None else beta,
+                            1.0 if gamma is None else gamma,
+                            MANUFACTURED_PRESETS[preset], name=name)
     raise ConfigurationError(
         f"unknown problem {name!r}; expected example1|example2|example3|"
         f"manufactured:<preset>")

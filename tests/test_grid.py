@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sobrlw import (ConfigurationError, Field, SamplingError, TimeGrid,
-                    make_grid, sample)
+                    example1, make_grid, run, sample)
 
 
 def test_make_grid_steps():
@@ -42,6 +42,27 @@ def test_node_coordinates_reproducible():
     xs = g.xs()
     assert xs[0] == 0.0 and xs[-1] == 1.0
     assert np.all(np.diff(xs) > 0)
+
+
+def test_mesh_is_built_once_per_grid_and_read_only(monkeypatch):
+    built = []
+    meshgrid = np.meshgrid
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return meshgrid(*args, **kwargs)
+
+    monkeypatch.setattr(np, "meshgrid", counting)
+    g = make_grid(0, 1, 0, 0.5, 8)
+    X, Y = g.mesh()
+    want = meshgrid(g.xs(), g.ys(), indexing="ij")
+    assert np.array_equal(X, want[0]) and np.array_equal(Y, want[1])
+    with pytest.raises(ValueError):
+        X[0, 0] = 1.0
+    g = make_grid(0, 1, 0, 1, 8)
+    run(example1(), g, T=0.1)       # engine, sample, observe and every fill
+    assert len(built) == 2
+    assert g.mesh()[0] is g.mesh()[0]
 
 
 def test_sample_zero():

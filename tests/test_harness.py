@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from sobrlw import (SchemeConfig, convergence_study, emit_csv,
-                    emit_solution_csv, emit_svg, example1, make_grid, rate,
-                    run, verify_suite)
+                    emit_solution_csv, emit_svg, example1, get_problem,
+                    make_grid, rate, run, verify_suite)
 from sobrlw.cli import main
 from sobrlw.harness import make_manifest
 
@@ -272,6 +272,24 @@ def test_cli_malformed_input_is_config_error(tmp_path, capsys, argv, config):
         argv = argv + ["--config", str(path)]
     assert main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_coefficients_reach_manufactured_problems_only(monkeypatch, capsys):
+    seen = []
+
+    def recording(name, **coefficients):
+        seen.append(coefficients)
+        return get_problem(name, **coefficients)
+
+    monkeypatch.setattr("sobrlw.cli.get_problem", recording)
+    argv = ["solve", "--problem", "manufactured:poly", "--M", "8", "--T", "0.05"]
+    assert main(argv + ["--beta", "0.3"]) == 0
+    assert seen == [{"beta": 0.3}]      # alpha and gamma keep the library's 1, 1
+    assert "problem=manufactured:poly" in capsys.readouterr().out
+    assert main(["solve", "--problem", "example2", "--M", "8", "--gamma", "0.5"]) == 2
+    assert "--gamma applies only to manufactured:<preset>" in capsys.readouterr().err
+    assert main(["solve", "--problem", "nope", "--alpha", "0.5"]) == 2
+    assert "unknown problem 'nope'" in capsys.readouterr().err
 
 
 def test_cli_config_file_dump_at(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from sobrlw import (ConfigurationError, PentaBands, SingularSystemError,
                     TensorLineSolver, factor, make_grid, multiply_line, penta,
-                    solve_line)
+                    solve_line, time_step_rule)
 from sobrlw.penta import stencil_coefficients
 
 from _oracles import dense_banded, dense_gauss_solve
@@ -196,6 +196,17 @@ def test_tensor_line_solver_requires_symmetric_x():
     with pytest.raises(ConfigurationError):
         TensorLineSolver(PentaBands(0.1, 0.2, 1.0, 0.3, 0.1, n=4),
                          PentaBands(0, 0, 1.0, 0, 0, n=4))
+
+
+def test_tensor_line_solver_rejects_nearly_symmetric_x():
+    # at M = 256 the off-diagonals of this band are -87408.26 and -87408.16,
+    # within np.isclose's default tolerance; eigh would drop the skew part
+    h = 1.0 / 256
+    k = time_step_rule(h, h)
+    c = stencil_coefficients(h, 1.0, 1.0, 1.0, k / 2.0)
+    assert c[1] != c[3] and np.isclose(c[1], c[3])
+    with pytest.raises(ConfigurationError, match="symmetric"):
+        TensorLineSolver(PentaBands(*c, n=8), PentaBands(0, 0, 1.0, 0, 0, n=8))
 
 
 def test_line_solve_cost_scales_linearly():

@@ -4,7 +4,7 @@ import pytest
 from sobrlw import (ConfigurationError, ProblemSpec, example1, example2,
                     example3, get_problem, manufactured, residual_check)
 from sobrlw.grid import make_grid
-from sobrlw.problems import MANUFACTURED_PRESETS
+from sobrlw.problems import MANUFACTURED_PRESETS, _directional_derivatives
 
 from _oracles import (nested_dt, nested_dtxx, nested_dtyy, nested_dx,
                       nested_dxx, nested_dy, nested_dyy)
@@ -247,6 +247,80 @@ def test_manufactured_source_broadcasts_partial_references(fn):
         assert np.array_equal(got, np.broadcast_to(want, X.shape))
 
 
+def _sin_exp(X, Y, t):
+    return np.sin(np.pi * (X + Y - t)) * np.exp(X * Y)
+
+
+def _sech2(X, Y, t):
+    return 1.0 / np.cosh(X + Y - t) ** 2
+
+
+_NESTED = {0: (nested_dt, nested_dx, nested_dxx, nested_dtxx),
+           1: (nested_dt, nested_dy, nested_dyy, nested_dtyy)}
+_RECT_37 = make_grid(0.0, 1.0, 0.0, 0.6, 37).mesh()
+
+
+@pytest.mark.parametrize("X, Y", [_SQUARE, _RECT_37], ids=["square-64", "rect-37"])
+@pytest.mark.parametrize("fn", [
+    MANUFACTURED_PRESETS["wave"], MANUFACTURED_PRESETS["trig"],
+    MANUFACTURED_PRESETS["poly"], _sin_exp, _sech2,
+    lambda X, Y, t: np.cos(X) * (1.0 + t),      # ignores y
+], ids=["wave", "trig", "poly", "sin-exp", "sech2", "no-y"])
+def test_directional_derivatives_are_bitwise_the_full_mesh_differences(fn, X, Y):
+    # the reference sees the mesh cut to a column and a row; every value
+    # must still be the one the full mesh gives, sample for sample
+    for axis in (0, 1):
+        got = _directional_derivatives(fn, X, Y, 0.3, axis)
+        for d, nested in zip(got, _NESTED[axis]):
+            want = np.broadcast_to(nested(fn, X, Y, 0.3), X.shape)
+            assert d.shape == X.shape
+            assert np.array_equal(d, want), (axis, nested.__name__)
+
+
+def _recording(shapes):
+    def fn(X, Y, t):
+        shapes.append((np.shape(X), np.shape(Y)))
+        return MANUFACTURED_PRESETS["wave"](X, Y, t)
+    return fn
+
+
+def test_reference_sees_open_coordinates_on_the_mesh():
+    X, Y = _SQUARE
+    for axis, want in ((0, ((7, 65, 1), (1, 65))), (1, ((65, 1), (7, 1, 65)))):
+        shapes = []
+        _directional_derivatives(_recording(shapes), X, Y, 0.25, axis)
+        assert shapes == [want] * 7
+
+
+def test_non_constant_coordinates_are_passed_at_full_shape():
+    X, Y = _RECT_37
+    jittered = X + np.random.default_rng(5).uniform(-1e-3, 1e-3, X.shape)
+    signed = X.copy()
+    signed[0, 1::2] = -0.0      # the x = 0 row: constant in value, not in bits
+    for Xc, x_shape in ((jittered, (38, 38)), (signed, (38, 38)), (X, (38, 1))):
+        shapes = []
+        got = _directional_derivatives(_recording(shapes), Xc, Y, 0.4, 1)
+        assert shapes == [(x_shape, (7, 1, 38))] * 7
+        for d, nested in zip(got, _NESTED[1]):
+            want = nested(MANUFACTURED_PRESETS["wave"], Xc, Y, 0.4)
+            assert np.array_equal(d, want)
+
+
+@pytest.mark.parametrize("X, Y", [_POINTS, (0.3, 0.8)], ids=["points", "scalars"])
+def test_points_and_scalars_reach_the_reference_unchanged(X, Y):
+    seen = []
+
+    def fn(X_, Y_, t):
+        seen.append((X_, Y_))
+        return MANUFACTURED_PRESETS["poly"](X_, Y_, t)
+
+    _directional_derivatives(fn, X, Y, 0.7, 0)
+    assert all(y is Y for _, y in seen)
+    seen.clear()
+    _directional_derivatives(fn, X, Y, 0.7, 1)
+    assert all(x is X for x, _ in seen)
+
+
 def test_residual_check_requires_reference():
     p = example1()
     blind = ProblemSpec(name="blind", alpha=p.alpha, beta=p.beta,
@@ -263,6 +337,22 @@ def test_get_problem_registry():
         get_problem("nope")
     with pytest.raises(ConfigurationError):
         get_problem("manufactured:nope")
+
+
+def test_get_problem_coefficients_default_for_manufactured_problems():
+    p = get_problem("manufactured:trig")
+    assert (p.alpha, p.beta, p.gamma) == (1.0, 0.0, 1.0)
+    p = get_problem("manufactured:wave", beta=0.5, gamma=0.25)
+    assert (p.alpha, p.beta, p.gamma) == (1.0, 0.5, 0.25)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+@pytest.mark.parametrize("key", ["alpha", "beta", "gamma"])
+def test_get_problem_rejects_coefficients_of_the_examples(name, key):
+    own = getattr(get_problem(name), key)
+    # even the example's own value: the coefficients are not the caller's
+    with pytest.raises(ConfigurationError, match=f"^{key} applies only"):
+        get_problem(name, **{key: own})
 
 
 def _sup_l2_of_reference(p, M=32):

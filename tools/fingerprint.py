@@ -31,6 +31,13 @@ def _trig_rect():
                         name="manufactured:trig", bounds=(0.0, 1.0, 0.0, 0.6))
 
 
+def _sin_exp():
+    """A reference that is not a product of one-coordinate factors."""
+    return manufactured(0.8, 0.5, 0.6,
+                        lambda X, Y, t: np.sin(np.pi * (X + Y - t)) * np.exp(X * Y),
+                        name="manufactured:sin-exp")
+
+
 # (label, problem factory, M, SchemeConfig keywords, T or None for problem.T)
 CONFIGURATIONS = (
     *(("example1", example1, M, {}, None) for M in (4, 8, 16, 32, 64)),
@@ -39,6 +46,7 @@ CONFIGURATIONS = (
     *((f"trig-rect {s}", _trig_rect, M, {"stepper": s}, None)
       for s in ("coupled", "split") for M in (4, 5, 6, 7, 16)),
     ("trig-rect leapfrog_alpha=off", _trig_rect, 16, {"leapfrog_alpha": "off"}, None),
+    ("sin-exp", _sin_exp, 16, {}, None),
     ("example2", example2, 16, {}, None),
     ("example3", example3, 16, {}, None),
     ("example3 split", example3, 16, {"stepper": "split"}, None),
