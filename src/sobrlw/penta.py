@@ -14,8 +14,9 @@ suite bound the residuals of the solves.
 A factorization may stack several systems that share four diagonals and
 differ in the main one (PentaBands.c_0 holding one value per system): every
 row operation then runs on all systems at once, with the arithmetic of each
-system unchanged.  TensorLineSolver couples the two directions this way: it
-diagonalizes the symmetric x-line operator once, and the y-line systems of
+system unchanged (in the result dtype of bands and right-hand side, at
+least float64).  TensorLineSolver couples the two directions this way: it
+diagonalizes the whole x-line operator once, and the y-line systems of
 all x-eigenmodes are factored, and solved, in one batched sweep over rows.
 """
 from __future__ import annotations
@@ -92,11 +93,9 @@ def factor(bands: PentaBands) -> PentaFactorization:
     if n < 1:
         raise ConfigurationError(f"system size must be >= 1, got {n}")
     shape = (n,) + np.shape(bands.c_0)
-    a = np.full(shape, bands.c_mm)
-    b = np.full(shape, bands.c_m)
-    d = np.full(shape, bands.c_0)
-    e = np.full(shape, bands.c_p)
-    f = np.full(shape, bands.c_pp)
+    diagonals = (bands.c_mm, bands.c_m, bands.c_0, bands.c_p, bands.c_pp)
+    dtype = np.result_type(*diagonals, float)
+    a, b, d, e, f = (np.full(shape, c, dtype=dtype) for c in diagonals)
     for i in range(1, n):
         if i >= 2:
             if (d[i - 2] == 0.0).any():
@@ -123,12 +122,12 @@ def solve_line(fact: PentaFactorization, rhs: np.ndarray) -> np.ndarray:
     A stacked factorization of m systems takes (n, m), column l solved
     with system l.
     """
-    rhs = np.asarray(rhs, dtype=float)
+    rhs = np.asarray(rhs)
     n = fact.n
     if rhs.shape[0] != n:
         raise ConfigurationError(f"rhs length {rhs.shape[0]} != system size {n}")
     a, b, d, e, f = fact.a, fact.b, fact.d, fact.e, fact.f
-    y = rhs.copy()
+    y = np.array(rhs, dtype=np.result_type(rhs, d, float), order="C")
     for i in range(1, n):
         y[i] -= b[i] * y[i - 1]
         if i >= 2:
@@ -158,22 +157,32 @@ def multiply_line(bands: PentaBands, x: np.ndarray) -> np.ndarray:
 class TensorLineSolver:
     """Direct solver for (I + Ax (+) Ay) V = B on the (M-3)^2 interior.
 
-    Ax must be symmetric (its bands are diagonalized once); Ay may carry a
-    skew part.  Each x-eigenmode i leaves the pentadiagonal y-line system
-    (1 + lam_i) I + Ay; the n systems are factored together once and solved
-    together in one sweep over rows, each row operation running on all
-    modes.  B and V are (n, n) arrays indexed [i-line, j].
+    Ax = P diag(lam) P^-1 is diagonalized once: exactly symmetric x-bands
+    by eigh (P^-1 = P.T), any others, such as a transport part, by eig and
+    inv(P), which must have cond(P) <= 1e8; complex mode pairs are solved
+    in complex arithmetic and V is the real part.  Each x-eigenmode i leaves
+    the pentadiagonal y-line system (1 + lam_i) I + Ay; the n systems are
+    factored together once and solved together in one sweep over rows,
+    each row operation running on all modes.  B and V are (n, n) arrays
+    indexed [i-line, j].
     """
 
     def __init__(self, ax_bands: PentaBands, ay_bands: PentaBands):
-        if not (ax_bands.c_m == ax_bands.c_p and ax_bands.c_mm == ax_bands.c_pp):
-            raise ConfigurationError("TensorLineSolver requires symmetric x-bands")
-        self.lam, self.Q = np.linalg.eigh(ax_bands.dense())
+        if ax_bands.c_m == ax_bands.c_p and ax_bands.c_mm == ax_bands.c_pp:
+            self.lam, self.Q = np.linalg.eigh(ax_bands.dense())
+            self.Q_inv = self.Q.T
+        else:
+            self.lam, self.Q = np.linalg.eig(ax_bands.dense())
+            cond = np.linalg.cond(self.Q)
+            if not cond <= 1e8:     # also inf: a defective Ax has singular P
+                raise ConfigurationError(
+                    f"ill-conditioned x-eigenvectors: cond(P) = {cond:.3g} > 1e8")
+            self.Q_inv = np.linalg.inv(self.Q)
         self.fact = factor(ay_bands.shifted(1.0 + self.lam))
 
     def solve(self, B: np.ndarray) -> np.ndarray:
-        Bt = self.Q.T @ B                                   # [mode, j]
+        Bt = self.Q_inv @ B                                 # [mode, j]
         # the sweep runs over rows j with all modes at once; V goes back to
         # a C-contiguous [mode, j] array, so Q @ V keeps one operand layout
         V = np.ascontiguousarray(solve_line(self.fact, Bt.T).T)
-        return self.Q @ V
+        return (self.Q @ V).real

@@ -9,10 +9,11 @@ Two compositions are provided, selected by SchemeConfig.stepper:
     time-space term couples the directions globally, and splitting the mass
     per direction changes the dynamics at leading order (each directional
     sub-flow of the first benchmark decays at rate 0.954 instead of the
-    two composing to rate 1).  The solve is direct at line-solve cost: the
-    symmetric x-operator is diagonalized once, each x-eigenmode yields one
-    pentadiagonal y-line system, and the systems of all modes are factored
-    and solved in one batched sweep over rows.
+    two composing to rate 1).  Each sub-step is one direct solve at
+    line-solve cost: the whole x-operator, transport part included, is
+    diagonalized once, each x-eigenmode yields one pentadiagonal y-line
+    system, and the systems of all modes are factored and solved in one
+    batched sweep over rows.
 
         startup   (M - (k/4)G) U^{1/2} = (M + s(k/4)G) U^0
                                          + (k/4)[f(t_{1/2}) + f(t_0)]
@@ -57,8 +58,8 @@ from .stencils import Axis, axis_first, five_point, wide_first_values
 STEPPERS = ("coupled", "split")
 RHS_SIGNS = ("derived", "paper")
 BOUNDARY_MODES = ("exact", "paper_copy")
-# A fixed-point iteration (implicit source, transport lag) stops once its
-# update is at most PICARD_TOL * (1 + max|iterate|).
+# The fixed-point iteration of an implicit source stops once its update is
+# at most PICARD_TOL * (1 + max|iterate|).
 PICARD_TOL = 1e-12
 PICARD_MAX_ITERS = 50
 
@@ -85,8 +86,8 @@ class SchemeConfig:
 @dataclass
 class StepDiagnostics:
     """Iterations per sub-step: fixed-point iterations of the trapezoidal
-    half-steps with an implicit source, transport-lag iterations of the chain
-    steps (1 without transport), 0 for the explicit leapfrog."""
+    half-steps with an implicit source, 1 for a chain step (one direct
+    solve), 0 for the explicit leapfrog."""
 
     picard_iterations: list = dc_field(default_factory=list)
 
@@ -174,8 +175,8 @@ class _Operator(NamedTuple):
     """One kind of sub-step: (I + lhs) V = rhs(U_old) + ...
 
     lhs and rhs are (x, y) pairs of identity-free five-point stencils, None
-    where a direction is absent; solve(b, guess, t) returns the interior
-    values and an iteration count.
+    where a direction is absent; solve(b) returns the interior values and
+    the iteration count recorded for a direct solve.
     """
 
     lhs: tuple
@@ -241,11 +242,11 @@ class _Engine:
             raise BlowUpError(f"non-finite values at t={t:g}", level=t)
 
     def _substep(self, op: _Operator, U_from: np.ndarray, t_next: float,
-                 rhs: np.ndarray, guess=None, implicit=None, what: str = "") -> np.ndarray:
+                 rhs: np.ndarray, implicit=None, what: str = "") -> np.ndarray:
         """New level at t_next: the layers of U_from filled, the interior solved.
 
         With implicit(U), the right-hand side rhs + implicit(V) is iterated
-        to a fixed point in V; guess seeds the solver's own iteration.
+        to a fixed point in V.
         """
         s = self.grid.interior
         Un = self.fill(U_from, t_next)
@@ -253,11 +254,11 @@ class _Engine:
         frame[s, s] = 0.0
         moved = self._apply(frame, *op.lhs)
         if implicit is None:
-            new, its = op.solve(rhs - moved, guess, t_next)
+            new, its = op.solve(rhs - moved)
         else:
             def step(x):
                 Un[s, s] = x
-                return op.solve(rhs + implicit(Un) - moved, x, t_next)[0]
+                return op.solve(rhs + implicit(Un) - moved)[0]
             new, its = _fixed_point(Un[s, s], step, what, t_next)
         Un[s, s] = new
         self._check_finite(Un, t_next)
@@ -277,16 +278,8 @@ class _CoupledEngine(_Engine):
 
         for tag, theta in (("startup", k / 4.0), ("chain", k / 2.0)):
             lhs, rhs = both(theta), both(-self.s * theta)
-            # symmetric x part (wide_second only) is diagonalized; the skew
-            # beta part along x is iterated, along y it sits in the bands.
-            sym_x = stencil_coefficients(g.hx, self.a_mass, 0.0, p.gamma, theta)
-            solver = TensorLineSolver(PentaBands(*sym_x, n=n), PentaBands(*lhs[1], n=n))
-            skew_x = None
-            if p.beta != 0.0:
-                skew = stencil_coefficients(g.hx, 0.0, p.beta, 0.0, theta)
-                skew_x = PentaBands(*skew, n=n).dense()
-            self._ops[tag] = _Operator(lhs, rhs,
-                                       partial(_coupled_solve, solver, skew_x))
+            solver = TensorLineSolver(PentaBands(*lhs[0], n=n), PentaBands(*lhs[1], n=n))
+            self._ops[tag] = _Operator(lhs, rhs, partial(_coupled_solve, solver))
 
     def startup(self, U0: np.ndarray) -> np.ndarray:
         """Trapezoidal half-step 0 -> k/2 with the source iterated implicitly."""
@@ -303,8 +296,7 @@ class _CoupledEngine(_Engine):
         k, op = self.k, self._ops["chain"]
         rhs = (self._interior(base) + self._apply(base, *op.rhs)
                + k * self._interior(self.f_total(t_mid, mid)))
-        return self._substep(op, base, t_mid + k / 2.0, rhs,
-                             guess=self._interior(mid))
+        return self._substep(op, base, t_mid + k / 2.0, rhs)
 
     half_update = int_update = chain_step
 
@@ -380,15 +372,12 @@ def _engine(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig, k: float) -> 
     return _ENGINES[cfg.stepper](problem, grid, cfg, k)
 
 
-def _coupled_solve(solver, skew_x, b: np.ndarray, guess: np.ndarray, t: float):
-    """Solve (I + Ax + Ay) V = b, lagging the x-skew part."""
-    if skew_x is None:
-        return solver.solve(b), 1
-    return _fixed_point(guess, lambda x: solver.solve(b - skew_x @ x),
-                        "transport lag iteration", t)
+def _coupled_solve(solver, b: np.ndarray):
+    """Solve (I + Ax + Ay) V = b directly."""
+    return solver.solve(b), 1
 
 
-def _line_solve(fact, axis: Axis, b: np.ndarray, guess, t: float):
+def _line_solve(fact, axis: Axis, b: np.ndarray):
     """Solve the pentadiagonal systems of the lines along axis."""
     return axis_first(solve_line(fact, axis_first(b, axis)), axis), 0
 

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -131,21 +132,42 @@ def test_solve_rejects_wrong_length():
         solve_line(factor(bands), np.zeros(5))
 
 
-def tensor_bands(rng, n):
-    """Symmetric x-bands and y-bands with a skew part."""
+def tensor_bands(rng, n, skew_x=False):
+    """x-bands, symmetric unless skew_x, and y-bands with a skew part."""
     sym = rng.uniform(-0.5, 0.5, 2)
-    ax = PentaBands(sym[0], sym[1], 2.0, sym[1], sym[0], n=n)
+    skew = rng.uniform(-0.2, 0.2, 2) if skew_x else np.zeros(2)
+    ax = PentaBands(sym[0] - skew[0], sym[1] - skew[1], 2.0,
+                    sym[1] + skew[1], sym[0] + skew[0], n=n)
     ay_c = rng.uniform(-0.3, 0.3, 5)
     ay_c[2] += 2.0
     return ax, PentaBands(*ay_c, n=n)
 
 
+def coupled_bands(M, alpha, beta, gamma, theta_per_k):
+    """x- and y-bands of a coupled sub-step on the unit square, theta = theta_per_k*k."""
+    h = 1.0 / M
+    c = stencil_coefficients(h, alpha, beta, gamma, theta_per_k * time_step_rule(h, h))
+    return PentaBands(*c, n=M - 3), PentaBands(*c, n=M - 3)
+
+
 def test_tensor_line_solver_against_dense():
     # n = 13 as well: well past the band width, where a wrong band or a
-    # wrong mode layout shows
+    # wrong mode layout shows; skew x-bands take the eig path
     rng = np.random.default_rng(6)
-    for n in (6, 13):
-        ax, ay = tensor_bands(rng, n)
+    cases = [tensor_bands(rng, n, skew_x) for skew_x in (False, True) for n in (6, 13)]
+    # transport bands: in the chain step at M = 256 the first off-diagonals
+    # are -87408.26 and -87408.16, within np.isclose's default tolerance, and
+    # eigh would drop their skew part
+    ax, _ = coupled_bands(256, 1.0, 1.0, 1.0, 0.5)
+    assert ax.c_m != ax.c_p and np.isclose(ax.c_m, ax.c_p)
+    cases.append((PentaBands(*ax.coefficients, n=20),
+                  PentaBands(0, 0, 1.0, 0, 0, n=20)))
+    # startup at M = 8 with alpha = 0.001: complex mode pairs, cond(P) ~ 179
+    complex_modes = coupled_bands(8, 0.001, 1.0, 0.0, 0.25)
+    assert np.abs(TensorLineSolver(*complex_modes).lam.imag).max() > 0.05
+    cases.append(complex_modes)
+    for ax, ay in cases:
+        n = ax.n
         solver = TensorLineSolver(ax, ay)
         B = rng.standard_normal((n, n))
         V = solver.solve(B)
@@ -153,7 +175,8 @@ def test_tensor_line_solver_against_dense():
               + np.kron(np.eye(n), dense_banded(ay.coefficients, n))
               + np.eye(n * n))
         ref = dense_gauss_solve(A2, B.reshape(-1)).reshape(n, n)
-        assert np.abs(V - ref).max() <= 1e-11, n
+        assert V.dtype == np.float64
+        assert np.abs(V - ref).max() <= 1e-11 * np.abs(ref).max(), ax
 
 
 @pytest.mark.parametrize("n", [13, 61])
@@ -192,21 +215,37 @@ def test_tensor_line_solver_factors_and_solves_once(monkeypatch):
     assert calls == {"factor": 1, "solve_line": 3}
 
 
-def test_tensor_line_solver_requires_symmetric_x():
-    with pytest.raises(ConfigurationError):
-        TensorLineSolver(PentaBands(0.1, 0.2, 1.0, 0.3, 0.1, n=4),
-                         PentaBands(0, 0, 1.0, 0, 0, n=4))
+def test_tensor_line_solver_rejects_defective_x():
+    # a Jordan block has one eigenvector, so P is singular; the guard must
+    # raise before any warning of a singular inverse
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=r"cond\(P\) = inf"):
+            TensorLineSolver(PentaBands(0.0, 1.0, 0.0, 0.0, 0.0, n=6),
+                             PentaBands(0, 0, 1.0, 0, 0, n=6))
 
 
-def test_tensor_line_solver_rejects_nearly_symmetric_x():
-    # at M = 256 the off-diagonals of this band are -87408.26 and -87408.16,
-    # within np.isclose's default tolerance; eigh would drop the skew part
-    h = 1.0 / 256
-    k = time_step_rule(h, h)
-    c = stencil_coefficients(h, 1.0, 1.0, 1.0, k / 2.0)
-    assert c[1] != c[3] and np.isclose(c[1], c[3])
-    with pytest.raises(ConfigurationError, match="symmetric"):
-        TensorLineSolver(PentaBands(*c, n=8), PentaBands(0, 0, 1.0, 0, 0, n=8))
+@pytest.mark.parametrize("c_0", [10, 10.0, np.array([10, 7, 12])],
+                         ids=["int", "float-main", "stacked"])
+def test_integer_bands_factor_and_solve_as_their_float_twins(c_0):
+    # integer factors once truncated the LU multipliers (x_0 = 0.0370
+    # instead of 0.0475) or, stacked, raised a raw numpy casting error
+    ints = PentaBands(1, 2, c_0, 3, 1, n=6)
+    c_0 = np.asarray(c_0, dtype=float)
+    floats = PentaBands(1.0, 2.0, c_0, 3.0, 1.0, n=6)
+    fi, ff = factor(ints), factor(floats)
+    for name in "abdef":
+        assert getattr(fi, name).dtype == np.float64
+        assert np.array_equal(getattr(fi, name), getattr(ff, name)), name
+    rhs = np.arange(1, 7)
+    if c_0.ndim:
+        rhs = np.repeat(rhs[:, None], c_0.size, axis=1)
+    x = solve_line(fi, rhs)
+    assert np.array_equal(x, solve_line(ff, rhs.astype(float)))
+    for col, c in enumerate(np.atleast_1d(c_0)):
+        dense = PentaBands(1.0, 2.0, float(c), 3.0, 1.0, n=6).dense()
+        ref = dense_gauss_solve(dense, np.arange(1.0, 7.0))
+        assert np.abs(x.reshape(6, -1)[:, col] - ref).max() <= 1e-12
 
 
 def test_line_solve_cost_scales_linearly():

@@ -3,8 +3,8 @@ import pytest
 
 from sobrlw import (BlowUpError, ConfigurationError, Field, PicardError,
                     ProblemSpec, SchemeConfig, SchemeState, advance,
-                    cn_x_step, cn_y_step,
-                    example1, fill_boundary_layers, init_half_step,
+                    cn_x_step, cn_y_step, example1, example3,
+                    fill_boundary_layers, get_problem, init_half_step,
                     l2_norm, leapfrog_x_step, make_grid, run, sample,
                     time_step_rule)
 from sobrlw.scheme import make_time_grid
@@ -443,3 +443,18 @@ def test_picard_iterations_modest_on_benchmark():
     g = make_grid(0, 1, 0, 1, 8)
     rec = run(p, g, CFG_COUPLED)
     assert max(rec.diagnostics.picard_iterations) <= 10
+
+
+@pytest.mark.parametrize("make, M", [
+    (example3, 16),
+    (lambda: get_problem("manufactured:trig", 0.001, 1.0, 0.0), 8),
+    (lambda: get_problem("manufactured:trig", 0.001, -1.0, 0.0), 8),
+], ids=["example3", "trig-beta+1", "trig-beta-1"])
+def test_transport_chain_steps_are_one_direct_solve(make, M):
+    # beta != 0: the whole x-operator is diagonalized, so no chain step
+    # iterates; the first entry is the startup's implicit source iteration
+    p = make()
+    rec = run(p, make_grid(p.L1, p.L2, p.L3, p.L4, M), CFG_COUPLED)
+    its = rec.diagnostics.picard_iterations
+    assert not rec.failed and len(its) == 2 * rec.N
+    assert its[1:] == [1] * (2 * rec.N - 1)

@@ -47,6 +47,9 @@ CONFIGURATIONS = (
       for s in ("coupled", "split") for M in (4, 5, 6, 7, 16)),
     ("trig-rect leapfrog_alpha=off", _trig_rect, 16, {"leapfrog_alpha": "off"}, None),
     ("sin-exp", _sin_exp, 16, {}, None),
+    # transport with little mass: complex x-eigenmode pairs in every solve
+    ("trig alpha=0.001 beta=1 gamma=0",
+     lambda: get_problem("manufactured:trig", 0.001, 1.0, 0.0), 8, {}, None),
     ("example2", example2, 16, {}, None),
     ("example3", example3, 16, {}, None),
     ("example3 split", example3, 16, {"stepper": "split"}, None),
