@@ -5,7 +5,7 @@ leapfrog/trapezoidal time stepping, pentadiagonal line solves, and a
 benchmark harness for convergence studies and discrete-identity checks.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import (BlowUpError, ConfigurationError, FrameError,
                      GridMismatchError, NumericalError, PicardError,
@@ -14,8 +14,8 @@ from .grid import Field, Grid2D, TimeGrid, make_grid, sample
 from .harness import (ConvergenceRow, RunManifest, VerifyReport,
                       convergence_study, emit_csv, emit_solution_csv,
                       emit_svg, rate, verify_suite)
-from .norms import (NormReport, RunningMax, SbpResiduals, directional_energy,
-                    h2_norm, inner, l2_norm, sbp_residuals)
+from .norms import (NormReport, SbpResiduals, directional_energy, h2_norm,
+                    inner, l2_norm, sbp_residuals)
 from .penta import (PentaBands, PentaFactorization, TensorLineSolver, factor,
                     multiply_line, solve_line)
 from .problems import (ProblemSpec, ResidualCheck, example1, example2,

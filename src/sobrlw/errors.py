@@ -26,7 +26,7 @@ class NumericalError(ArithmeticError):
 
 
 class BlowUpError(NumericalError):
-    """Non-finite values appeared during time stepping."""
+    """Non-finite values, or |U| above scheme.BLOW_UP_BOUND, during time stepping."""
 
     def __init__(self, message, level=None):
         super().__init__(message)

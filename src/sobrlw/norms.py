@@ -171,19 +171,3 @@ def sbp_residuals(w: Field) -> SbpResiduals:
     r2y = abs(-inner(w, w, "wide2_y") - e_y)
     return SbpResiduals(r1x, r1y, r2x, r2y)
 
-
-class RunningMax:
-    """Maximum of a norm over visited time levels."""
-
-    def __init__(self):
-        self._max = None
-        self.count = 0
-
-    def update(self, value: float) -> None:
-        v = float(value)
-        self._max = v if self._max is None else max(self._max, v)
-        self.count += 1
-
-    @property
-    def max(self) -> float:
-        return 0.0 if self._max is None else self._max

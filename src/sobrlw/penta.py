@@ -126,6 +126,9 @@ def solve_line(fact: PentaFactorization, rhs: np.ndarray) -> np.ndarray:
     n = fact.n
     if rhs.shape[0] != n:
         raise ConfigurationError(f"rhs length {rhs.shape[0]} != system size {n}")
+    if fact.d.ndim == 2 and rhs.shape != fact.d.shape:
+        raise ConfigurationError(f"rhs shape {rhs.shape} does not match the "
+                                 f"factorization of shape {fact.d.shape}")
     a, b, d, e, f = fact.a, fact.b, fact.d, fact.e, fact.f
     y = np.array(rhs, dtype=np.result_type(rhs, d, float), order="C")
     for i in range(1, n):

@@ -1,6 +1,8 @@
 """Three-level time-split steppers for the model equation.
 
-Two compositions are provided, selected by SchemeConfig.stepper:
+Two compositions, selected by SchemeConfig.stepper, are built from two
+kinds of sub-step: the two-level trapezoidal (Crank-Nicolson) half-step and
+the three-level (leapfrog) update spanning k.
 
 "coupled" (default)
     Two-level trapezoidal half-steps chained through a three-level window.
@@ -49,7 +51,7 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, PicardError
 from .grid import Field, Grid2D, TimeGrid, sample
-from .norms import RunningMax, h2_norm, l2_norm
+from .norms import h2_norm, l2_norm
 from .penta import (PentaBands, TensorLineSolver, factor, solve_line,
                     stencil_coefficients)
 from .problems import ProblemSpec
@@ -62,6 +64,10 @@ BOUNDARY_MODES = ("exact", "paper_copy")
 # at most PICARD_TOL * (1 + max|iterate|).
 PICARD_TOL = 1e-12
 PICARD_MAX_ITERS = 50
+# A solved level with |U| > BLOW_UP_BOUND (or non-finite) raises BlowUpError
+# at that level: below it the squares in the norms and the quadratic sources
+# of the next sub-step stay finite, so a blow-up is named before any overflow.
+BLOW_UP_BOUND = 1e100
 
 
 @dataclass(frozen=True)
@@ -85,9 +91,9 @@ class SchemeConfig:
 
 @dataclass
 class StepDiagnostics:
-    """Iterations per sub-step: fixed-point iterations of the trapezoidal
-    half-steps with an implicit source, 1 for a chain step (one direct
-    solve), 0 for the explicit leapfrog."""
+    """Linear solves per sub-step: 1 for a three-level update (one direct
+    solve), the fixed-point iterations (one solve each) for a trapezoidal
+    half-step with an implicit source."""
 
     picard_iterations: list = dc_field(default_factory=list)
 
@@ -175,8 +181,7 @@ class _Operator(NamedTuple):
     """One kind of sub-step: (I + lhs) V = rhs(U_old) + ...
 
     lhs and rhs are (x, y) pairs of identity-free five-point stencils, None
-    where a direction is absent; solve(b) returns the interior values and
-    the iteration count recorded for a direct solve.
+    where a direction is absent; solve(b) returns the interior values.
     """
 
     lhs: tuple
@@ -187,7 +192,8 @@ class _Operator(NamedTuple):
 class _Engine:
     """Precomputed machinery for one (problem, grid, cfg, k) combination.
 
-    Every sub-step fills the boundary layers of the new level, moves the
+    Every sub-step, a trapezoid (_trapezoid) or a three-level update
+    (_three_level), fills the boundary layers of the new level, moves the
     frame to the right-hand side as rhs - lhs(frame), solves for the
     interior, and iterates an implicit source to a fixed point.  A
     subclass per stepper builds its operators in _build and defines
@@ -233,37 +239,50 @@ class _Engine:
         return np.asarray(p.f1(self.X, self.Y, t, U, ux)
                           + p.f2(self.X, self.Y, t, U, uy), dtype=float)
 
-    def fill(self, values: np.ndarray, t: float) -> np.ndarray:
-        return fill_boundary_layers(values, t, self.problem, self.grid,
-                                    self.cfg.boundary_mode)
-
-    def _check_finite(self, values: np.ndarray, t: float) -> None:
-        if not np.isfinite(values).all():
-            raise BlowUpError(f"non-finite values at t={t:g}", level=t)
-
     def _substep(self, op: _Operator, U_from: np.ndarray, t_next: float,
                  rhs: np.ndarray, implicit=None, what: str = "") -> np.ndarray:
         """New level at t_next: the layers of U_from filled, the interior solved.
 
         With implicit(U), the right-hand side rhs + implicit(V) is iterated
-        to a fixed point in V.
+        to a fixed point in V.  Records its solves: 1, or the iterations.
         """
+        if not np.isfinite(rhs).all():
+            raise BlowUpError(f"non-finite right-hand side at t={t_next:g}", level=t_next)
         s = self.grid.interior
-        Un = self.fill(U_from, t_next)
+        Un = fill_boundary_layers(U_from, t_next, self.problem, self.grid,
+                                  self.cfg.boundary_mode)
         frame = Un.copy()
         frame[s, s] = 0.0
         moved = self._apply(frame, *op.lhs)
         if implicit is None:
-            new, its = op.solve(rhs - moved)
+            new, its = op.solve(rhs - moved), 1
         else:
             def step(x):
                 Un[s, s] = x
-                return op.solve(rhs + implicit(Un) - moved)[0]
+                return op.solve(rhs + implicit(Un) - moved)
             new, its = _fixed_point(Un[s, s], step, what, t_next)
         Un[s, s] = new
-        self._check_finite(Un, t_next)
+        if not np.abs(Un).max() <= BLOW_UP_BOUND:      # NaN fails too
+            raise BlowUpError(f"|U| > {BLOW_UP_BOUND:g} at t={t_next:g}", level=t_next)
         self.diagnostics.picard_iterations.append(its)
         return Un
+
+    def _trapezoid(self, op: _Operator, U_from: np.ndarray, t_from: float,
+                   f: Callable, what: str) -> np.ndarray:
+        """Half-step t_from -> t_from + k/2 with the trapezoid of the source
+        f(t, U): at t_from explicitly, at the new level iterated implicitly."""
+        w, t_next = self.k / 4.0, t_from + self.k / 2.0
+        rhs = (self._interior(U_from) + self._apply(U_from, *op.rhs)
+               + w * self._interior(f(t_from, U_from)))
+        return self._substep(op, U_from, t_next, rhs, what=what,
+                             implicit=lambda U: w * self._interior(f(t_next, U)))
+
+    def _three_level(self, op: _Operator, base: np.ndarray, t_next: float,
+                     *terms: np.ndarray) -> np.ndarray:
+        """Three-level update of base to t_next: one direct solve whose
+        right-hand side is rhs(base) plus the explicit terms, in order."""
+        rhs = self._interior(base) + self._apply(base, *op.rhs)
+        return self._substep(op, base, t_next, sum(terms, rhs))
 
 
 class _CoupledEngine(_Engine):
@@ -279,24 +298,18 @@ class _CoupledEngine(_Engine):
         for tag, theta in (("startup", k / 4.0), ("chain", k / 2.0)):
             lhs, rhs = both(theta), both(-self.s * theta)
             solver = TensorLineSolver(PentaBands(*lhs[0], n=n), PentaBands(*lhs[1], n=n))
-            self._ops[tag] = _Operator(lhs, rhs, partial(_coupled_solve, solver))
+            self._ops[tag] = _Operator(lhs, rhs, solver.solve)
 
     def startup(self, U0: np.ndarray) -> np.ndarray:
         """Trapezoidal half-step 0 -> k/2 with the source iterated implicitly."""
-        k, op = self.k, self._ops["startup"]
-        t1 = k / 2.0
-        rhs = (self._interior(U0) + self._apply(U0, *op.rhs)
-               + (k / 4.0) * self._interior(self.f_total(0.0, U0)))
-        return self._substep(
-            op, U0, t1, rhs, what="startup iteration",
-            implicit=lambda U: (k / 4.0) * self._interior(self.f_total(t1, U)))
+        return self._trapezoid(self._ops["startup"], U0, 0.0, self.f_total,
+                               "startup iteration")
 
     def chain_step(self, base: np.ndarray, mid: np.ndarray, t_mid: float) -> np.ndarray:
         """Three-level update spanning k, centered at t_mid."""
-        k, op = self.k, self._ops["chain"]
-        rhs = (self._interior(base) + self._apply(base, *op.rhs)
-               + k * self._interior(self.f_total(t_mid, mid)))
-        return self._substep(op, base, t_mid + k / 2.0, rhs)
+        k = self.k
+        return self._three_level(self._ops["chain"], base, t_mid + k / 2.0,
+                                 k * self._interior(self.f_total(t_mid, mid)))
 
     half_update = int_update = chain_step
 
@@ -325,20 +338,15 @@ class _SplitEngine(_Engine):
 
     def cn(self, axis: Axis, U_from: np.ndarray, t_from: float) -> np.ndarray:
         """Directional trapezoidal half-step (x carries f1, y carries f2)."""
-        g, p, k = self.grid, self.problem, self.k
-        t_next = t_from + k / 2.0
+        g, p = self.grid, self.problem
         h, fsrc = (g.hx, p.f1) if axis is Axis.X else (g.hy, p.f2)
 
-        def source(t, U):
+        def f(t, U):
             d = wide_first_values(U, h, axis)
-            return (k / 4.0) * self._interior(
-                np.asarray(fsrc(self.X, self.Y, t, U, d), dtype=float))
+            return np.asarray(fsrc(self.X, self.Y, t, U, d), dtype=float)
 
-        op = self._ops[axis]
-        rhs = self._interior(U_from) + self._apply(U_from, *op.rhs) + source(t_from, U_from)
-        return self._substep(op, U_from, t_next, rhs,
-                             implicit=partial(source, t_next),
-                             what=f"directional implicit step along {axis.name}")
+        return self._trapezoid(self._ops[axis], U_from, t_from, f,
+                               f"directional implicit step along {axis.name}")
 
     def startup(self, U0: np.ndarray) -> np.ndarray:
         return self.cn(Axis.X, U0, 0.0)
@@ -347,17 +355,11 @@ class _SplitEngine(_Engine):
                  t_n: float) -> np.ndarray:
         """Explicit-midpoint x-direction update spanning k."""
         g, p, k = self.grid, self.problem, self.k
-        t_next = t_n + k / 2.0
-        op = self._ops["leapfrog"]
         ux = wide_first_values(U_int, g.hx, Axis.X)
         fmid = np.asarray(p.f1(self.X, self.Y, t_n, U_int, ux), dtype=float)
-        rhs = (self._interior(U_half_prev) + self._apply(U_half_prev, *op.rhs)
-               + k * self._apply(U_int, self._c_mid)
-               + k * self._interior(fmid))
-        if not np.isfinite(rhs).all():
-            raise BlowUpError(f"non-finite right-hand side at t={t_next:g}",
-                              level=t_next)
-        return self._substep(op, U_half_prev, t_next, rhs)
+        return self._three_level(self._ops["leapfrog"], U_half_prev, t_n + k / 2.0,
+                                 k * self._apply(U_int, self._c_mid),
+                                 k * self._interior(fmid))
 
     half_update = leapfrog
 
@@ -372,14 +374,9 @@ def _engine(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig, k: float) -> 
     return _ENGINES[cfg.stepper](problem, grid, cfg, k)
 
 
-def _coupled_solve(solver, b: np.ndarray):
-    """Solve (I + Ax + Ay) V = b directly."""
-    return solver.solve(b), 1
-
-
-def _line_solve(fact, axis: Axis, b: np.ndarray):
+def _line_solve(fact, axis: Axis, b: np.ndarray) -> np.ndarray:
     """Solve the pentadiagonal systems of the lines along axis."""
-    return axis_first(solve_line(fact, axis_first(b, axis)), axis), 0
+    return axis_first(solve_line(fact, axis_first(b, axis)), axis)
 
 
 def _step(eng: _Engine, half: np.ndarray, cur: np.ndarray, n: int):
@@ -435,9 +432,20 @@ def advance(state: SchemeState, problem: ProblemSpec, k: float,
     return SchemeState(n=state.n + 1, U_half=Field(g, half), U_int=Field(g, cur))
 
 
+def _sup(series: str) -> property:
+    return property(lambda rec: max(getattr(rec, series), default=0.0))
+
+
 @dataclass
 class SolutionRecord:
-    """Per-integer-level norms, running maxima, and the final field."""
+    """Per-integer-level norms and the final field.
+
+    l2_* and h2_* hold the l2 and weighted-H2 norms of U, of the reference u
+    and of the error u - U (these two need a reference) at each level in
+    times; sup_* are their read-only maxima, 0.0 for an empty series.  A
+    failed run keeps the levels before the failure, names it and its level
+    in failure (BlowUpError, PicardError), and leaves final None.
+    """
 
     problem_name: str
     M: int
@@ -448,17 +456,17 @@ class SolutionRecord:
     l2_u: list = dc_field(default_factory=list)
     l2_U: list = dc_field(default_factory=list)
     l2_err: list = dc_field(default_factory=list)
-    sup_u: float = 0.0
-    sup_U: float = 0.0
-    sup_err: float = 0.0
-    sup_h2_u: float = 0.0
-    sup_h2_U: float = 0.0
-    sup_h2_err: float = 0.0
+    h2_u: list = dc_field(default_factory=list)
+    h2_U: list = dc_field(default_factory=list)
+    h2_err: list = dc_field(default_factory=list)
     final: Optional[Field] = None
     snapshots: dict = dc_field(default_factory=dict)
     diagnostics: Optional[StepDiagnostics] = None
     failed: bool = False
     failure: str = ""
+
+    sup_u, sup_U, sup_err = _sup("l2_u"), _sup("l2_U"), _sup("l2_err")
+    sup_h2_u, sup_h2_U, sup_h2_err = _sup("h2_u"), _sup("h2_U"), _sup("h2_err")
 
 
 def run(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig = SchemeConfig(),
@@ -472,28 +480,22 @@ def run(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig = SchemeConfig(),
                          diagnostics=eng.diagnostics)
     X, Y = grid.mesh()
     have_exact = problem.exact is not None
-    max_u, max_U, max_e = RunningMax(), RunningMax(), RunningMax()
-    max_h2u, max_h2U, max_h2e = RunningMax(), RunningMax(), RunningMax()
     dump_left = sorted(float(t) for t in dump_times)
 
     def observe(level_n: int, values: np.ndarray):
         t = level_n * k
         f = Field(grid, values)
         rec.times.append(t)
-        lU = l2_norm(f)
-        rec.l2_U.append(lU)
-        max_U.update(lU)
-        max_h2U.update(h2_norm(f, problem.alpha).h2)
+        rec.l2_U.append(l2_norm(f))
+        rec.h2_U.append(h2_norm(f, problem.alpha).h2)
         if have_exact:
             ex = Field(grid, np.asarray(problem.exact(X, Y, t), float))
             err = Field(grid, ex.values - f.values)
             nu, ne = h2_norm(ex, problem.alpha), h2_norm(err, problem.alpha)
             rec.l2_u.append(nu.l2)
             rec.l2_err.append(ne.l2)
-            max_u.update(nu.l2)
-            max_e.update(ne.l2)
-            max_h2u.update(nu.h2)
-            max_h2e.update(ne.h2)
+            rec.h2_u.append(nu.h2)
+            rec.h2_err.append(ne.h2)
         while dump_left and t >= dump_left[0] - 0.25 * k:
             rec.snapshots[dump_left.pop(0)] = (t, f)
 
@@ -510,6 +512,4 @@ def run(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig = SchemeConfig(),
     except (BlowUpError, PicardError) as exc:
         rec.failed = True
         rec.failure = f"{type(exc).__name__}: {exc}"
-    rec.sup_u, rec.sup_U, rec.sup_err = max_u.max, max_U.max, max_e.max
-    rec.sup_h2_u, rec.sup_h2_U, rec.sup_h2_err = max_h2u.max, max_h2U.max, max_h2e.max
     return rec

@@ -39,9 +39,19 @@ def test_fingerprints_repeat_and_a_changed_one_exits_1(tool, tmp_path, capsys):
 
 def test_fingerprint_sees_one_ulp_of_the_final_field(tool):
     rec = run(example1(), make_grid(0.0, 1.0, 0.0, 1.0, 8))
-    before = tool.fingerprint(rec)
-    assert tool.fingerprint(rec) == before
+    values, counts = tool.fingerprint(rec).split("-")
+    assert tool.fingerprint(rec) == f"{values}-{counts}"
     v = np.array(rec.final.values)
     v[4, 4] = np.nextafter(v[4, 4], np.inf)
     rec.final = Field(rec.final.grid, v)
-    assert tool.fingerprint(rec) != before
+    new_values, new_counts = tool.fingerprint(rec).split("-")
+    assert new_values != values and new_counts == counts
+
+
+def test_a_changed_count_changes_only_the_counts_part(tool):
+    rec = run(example1(), make_grid(0.0, 1.0, 0.0, 1.0, 8))
+    values, counts = tool.fingerprint(rec).split("-")
+    assert len(values) == 16 and len(counts) == 8
+    rec.diagnostics.picard_iterations[-1] += 1
+    new_values, new_counts = tool.fingerprint(rec).split("-")
+    assert new_values == values and new_counts != counts

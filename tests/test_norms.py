@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sobrlw import (Axis, ConfigurationError, Field, FrameError, RunningMax,
+from sobrlw import (Axis, ConfigurationError, Field, FrameError,
                     directional_energy, h2_norm, inner, l2_norm, make_grid,
                     sample, sbp_residuals)
 from sobrlw.harness import random_frame_vanishing
@@ -192,15 +192,3 @@ def test_sbp_residuals_requires_vanishing_frame():
     with pytest.raises(FrameError):
         sbp_residuals(Field(g, v))
 
-
-def test_running_max_permutation_invariant():
-    rng = np.random.default_rng(10)
-    vals = rng.standard_normal(50) ** 2
-    for perm_seed in range(3):
-        order = np.random.default_rng(perm_seed).permutation(50)
-        rm = RunningMax()
-        for v in vals[order]:
-            rm.update(v)
-        assert rm.max == vals.max()
-        assert rm.count == 50
-    assert RunningMax().max == 0.0

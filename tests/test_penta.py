@@ -132,6 +132,25 @@ def test_solve_rejects_wrong_length():
         solve_line(factor(bands), np.zeros(5))
 
 
+@pytest.mark.parametrize("shape", [(5,), (5, 4)], ids=["vector", "too-many-columns"])
+def test_stacked_solve_rejects_a_mismatched_rhs(shape):
+    # these used to end inside numpy ("setting an array element with a
+    # sequence", "operands could not be broadcast")
+    fact = factor(PentaBands(0.1, -0.3, np.array([2.0, 3.0, 4.0]), 0.2, 0.1, n=5))
+    with pytest.raises(ConfigurationError) as exc:
+        solve_line(fact, np.ones(shape))
+    assert str(shape) in str(exc.value) and "(5, 3)" in str(exc.value)
+
+
+def test_stacked_solve_matches_the_dense_solve_per_system():
+    c_0 = np.array([2.0, 3.0, 4.0])
+    B = np.random.default_rng(7).standard_normal((5, 3))
+    x = solve_line(factor(PentaBands(0.1, -0.3, c_0, 0.2, 0.1, n=5)), B)
+    for col, c in enumerate(c_0):
+        dense = PentaBands(0.1, -0.3, c, 0.2, 0.1, n=5).dense()
+        assert np.abs(x[:, col] - dense_gauss_solve(dense, B[:, col])).max() <= 1e-13
+
+
 def tensor_bands(rng, n, skew_x=False):
     """x-bands, symmetric unless skew_x, and y-bands with a skew part."""
     sym = rng.uniform(-0.5, 0.5, 2)

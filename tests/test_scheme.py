@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from sobrlw import (BlowUpError, ConfigurationError, Field, PicardError,
                     fill_boundary_layers, get_problem, init_half_step,
                     l2_norm, leapfrog_x_step, make_grid, run, sample,
                     time_step_rule)
+from sobrlw import penta, scheme
+from sobrlw.harness import random_frame_vanishing
 from sobrlw.scheme import make_time_grid
 from sobrlw.stencils import Axis
 
@@ -141,6 +145,65 @@ def test_zero_problem_stays_zero(cfg):
     assert np.all(rec.final.values == 0.0)
 
 
+def free_problem(rng, grid, gamma):
+    """f = 0, g = 0 and no reference; seeded alpha, beta and a random
+    frame-vanishing initial state."""
+    U0 = random_frame_vanishing(grid, rng).values
+    z = lambda X, Y, t: np.zeros(np.shape(X))
+    return ProblemSpec(name="free", alpha=float(rng.uniform(0.2, 1.0)),
+                       beta=float(rng.uniform(-1.0, 1.0)), gamma=gamma,
+                       f1=lambda X, Y, t, U, UX: np.zeros_like(U),
+                       f2=lambda X, Y, t, U, UY: np.zeros_like(U),
+                       u0=lambda X, Y: U0, g=z, exact=None,
+                       L2=grid.L2, L4=grid.L4)
+
+
+ENERGY_GRIDS = pytest.mark.parametrize(
+    "seed, grid", [(seed, g) for seed in range(3) for g in
+                   (make_grid(0, 1, 0, 1, 12), make_grid(0, 1, 0, 0.6, 16))],
+    ids=[f"{seed}-{name}" for seed in range(3) for name in ("square", "rect")])
+
+
+@ENERGY_GRIDS
+def test_coupled_run_conserves_the_energy_without_dissipation(seed, grid):
+    # with gamma = 0, f = 0 and a zero frame, each trapezoid keeps
+    # ((I - alpha Lap4) U, U) = h2_norm(U)^2 exactly (the skew transport
+    # part drops out by summation by parts), so every level keeps level 0's
+    p = free_problem(np.random.default_rng(seed), grid, gamma=0.0)
+    rec = run(p, grid, CFG_COUPLED, T=0.5)
+    assert not rec.failed and len(rec.h2_U) == rec.N + 1 >= 14
+    e0 = rec.h2_U[0] ** 2
+    assert max(abs(h ** 2 - e0) for h in rec.h2_U) <= 1e-12 * e0
+    assert not np.allclose(rec.final.values, p.u0(None, None))    # it moved
+
+
+@ENERGY_GRIDS
+def test_coupled_run_energy_never_increases_with_dissipation(seed, grid):
+    rng = np.random.default_rng(seed)
+    p = free_problem(rng, grid, gamma=float(rng.uniform(0.2, 1.0)))
+    rec = run(p, grid, CFG_COUPLED, T=0.5)
+    energy = [h ** 2 for h in rec.h2_U]
+    assert not rec.failed and len(energy) == rec.N + 1
+    assert all(b <= a * (1 + 1e-12) for a, b in zip(energy, energy[1:]))
+    assert energy[-1] < 0.9 * energy[0]
+
+
+def test_sups_are_read_only_maxima_of_the_level_series():
+    g = make_grid(0, 1, 0, 1, 8)
+    rec = run(example3(), g, CFG_COUPLED)
+    for name in ("u", "U", "err"):
+        for norm in ("l2", "h2"):
+            series = getattr(rec, f"{norm}_{name}")
+            sup = getattr(rec, f"sup_{name}" if norm == "l2" else f"sup_h2_{name}")
+            assert len(series) == rec.N + 1 and sup == max(series) > 0.0
+    with pytest.raises(AttributeError):
+        rec.sup_U = 1.0
+    # without a reference the u and error series stay empty, their sups 0.0
+    free = run(free_problem(np.random.default_rng(0), g, 1.0), g, CFG_COUPLED)
+    assert free.l2_u == free.h2_err == [] and free.sup_u == free.sup_h2_err == 0.0
+    assert free.sup_h2_U == max(free.h2_U) > 0.0
+
+
 @pytest.mark.parametrize("cfg", [CFG_COUPLED, CFG_SPLIT], ids=["coupled", "split"])
 def test_constant_preserved(cfg):
     p = constant_problem(0.7)
@@ -153,12 +216,14 @@ def test_constant_preserved(cfg):
 # --------------------------------------------------------------------------
 # dense constrained-system oracles for the sub-steps (M = 6, linear sources,
 # on the unit square and on a rectangle with hx != hy).  At M = 6 every line
-# system is 3 x 3, so the coupled steps are also checked at M = 16, where a
-# wrong band or mode layout of the coupled solve shows.
+# system is 3 x 3, so the outer bands enter only two entries; every sub-step
+# is also checked at M = 16, where a wrong band or mode layout shows.
 
 _SEEDS = [(seed, 1.0) for seed in range(3)] + [(seed, 0.6) for seed in range(3)]
 _SEED_IDS = [str(seed) for seed in range(3)] + [f"rect-{seed}" for seed in range(3)]
-SEEDS_SQUARE_AND_RECT = pytest.mark.parametrize("seed, L4", _SEEDS, ids=_SEED_IDS)
+_CASES = [(seed, L4, 6) for seed, L4 in _SEEDS] + [(0, 1.0, 16), (0, 0.6, 16)]
+_CASE_IDS = _SEED_IDS + ["M16-0", "M16-rect-0"]
+SQUARE_AND_RECT_CASES = pytest.mark.parametrize("seed, L4, M", _CASES, ids=_CASE_IDS)
 
 
 def with_leapfrog_alpha(argnames, cases, ids):
@@ -177,10 +242,7 @@ def mass_alpha(p, leapfrog_alpha):
     return 1.0
 
 
-SPLIT_LEAPFROG_CASES = with_leapfrog_alpha("seed, L4", _SEEDS, _SEED_IDS)
-COUPLED_CASES = with_leapfrog_alpha(
-    "seed, L4, M", [(seed, L4, 6) for seed, L4 in _SEEDS] + [(0, 1.0, 16), (0, 0.6, 16)],
-    _SEED_IDS + ["M16-0", "M16-rect-0"])
+LEAPFROG_ALPHA_CASES = with_leapfrog_alpha("seed, L4, M", _CASES, _CASE_IDS)
 
 
 def fill_frame_dense(p, grid, t):
@@ -188,11 +250,10 @@ def fill_frame_dense(p, grid, t):
     return np.asarray(p.exact(X, Y, t), float)
 
 
-@SEEDS_SQUARE_AND_RECT
-def test_split_init_half_step_matches_dense(seed, L4):
+@SQUARE_AND_RECT_CASES
+def test_split_init_half_step_matches_dense(seed, L4, M):
     rng = np.random.default_rng(seed)
     p = linear_source_problem(rng)
-    M = 6
     g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
     X, Y = g.mesh()
@@ -213,11 +274,10 @@ def test_split_init_half_step_matches_dense(seed, L4):
     assert np.abs(got.values - ref).max() <= 1e-11
 
 
-@SEEDS_SQUARE_AND_RECT
-def test_split_cn_y_step_matches_dense(seed, L4):
+@SQUARE_AND_RECT_CASES
+def test_split_cn_y_step_matches_dense(seed, L4, M):
     rng = np.random.default_rng(100 + seed)
     p = linear_source_problem(rng)
-    M = 6
     g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
     t0 = 0.25
@@ -238,11 +298,10 @@ def test_split_cn_y_step_matches_dense(seed, L4):
     assert np.abs(got.values - ref).max() <= 1e-11
 
 
-@SPLIT_LEAPFROG_CASES
-def test_split_leapfrog_matches_dense(seed, L4, leapfrog_alpha):
+@LEAPFROG_ALPHA_CASES
+def test_split_leapfrog_matches_dense(seed, L4, M, leapfrog_alpha):
     rng = np.random.default_rng(200 + seed)
     p = linear_source_problem(rng)
-    M = 6
     g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
     t_n = 0.5
@@ -266,7 +325,7 @@ def test_split_leapfrog_matches_dense(seed, L4, leapfrog_alpha):
     assert np.abs(got.values - ref).max() <= 1e-11
 
 
-@COUPLED_CASES
+@LEAPFROG_ALPHA_CASES
 def test_coupled_startup_matches_dense(seed, L4, M, leapfrog_alpha):
     rng = np.random.default_rng(300 + seed)
     p = linear_source_problem(rng)
@@ -295,7 +354,7 @@ def test_coupled_startup_matches_dense(seed, L4, M, leapfrog_alpha):
     assert np.abs(got.values - ref).max() <= 1e-11
 
 
-@COUPLED_CASES
+@LEAPFROG_ALPHA_CASES
 def test_coupled_chain_step_matches_dense(seed, L4, M, leapfrog_alpha):
     rng = np.random.default_rng(400 + seed)
     p = linear_source_problem(rng)
@@ -425,6 +484,18 @@ def test_blow_up_guard_reports_level():
     assert exc.value.level is not None
 
 
+@pytest.mark.parametrize("cfg", [CFG_COUPLED, CFG_SPLIT], ids=["coupled", "split"])
+def test_non_finite_right_hand_side_is_caught_before_the_solve(cfg):
+    p = example1()
+    g = make_grid(0, 1, 0, 1, 6)
+    quad = replace(p, name="quad", f1=lambda X, Y, t, U, UX: U * U,
+                   f2=lambda X, Y, t, U, UY: U * U)
+    with pytest.raises(BlowUpError, match="right-hand side at t=0.0625") as exc:
+        with np.errstate(over="ignore"):    # the source itself overflows
+            init_half_step(Field(g, np.full((7, 7), 1e200)), quad, 0.125, cfg)
+    assert exc.value.level == 0.0625
+
+
 def test_run_returns_partial_record_on_failure():
     p = example1()
     stiff = ProblemSpec(name="stiff", alpha=1.0, beta=0.0, gamma=1.0,
@@ -436,6 +507,55 @@ def test_run_returns_partial_record_on_failure():
     assert rec.failed
     assert "PicardError" in rec.failure
     assert rec.times  # level 0 was still observed
+
+
+def sech2_wave(alpha):
+    """example3()'s equation at this alpha with its exact sech^2 wave
+    (speed 1; derived in test_acceptance.example3_wave)."""
+    p = replace(example3(), alpha=alpha)
+    kappa = np.sqrt((1.0 - 2.0 * p.beta) / (8.0 * alpha))
+    amp = 12.0 * alpha * kappa ** 2
+
+    def wave(X, Y, t):
+        return amp / np.cosh(kappa * (X + Y - t)) ** 2
+
+    return replace(p, name="sech2-wave", u0=lambda X, Y: wave(X, Y, 0.0),
+                   g=wave, exact=wave)
+
+
+def test_blow_up_is_named_at_its_level_before_any_overflow():
+    # at alpha = 0.25 the wave is unstable at k = 1: |U| squares from level
+    # to level (l2 ~ 4e18 at t = 6, 9e72 at t = 7).  Under the suite's
+    # warnings-as-errors, any numpy overflow on the way would escape run()
+    p = sech2_wave(0.25)
+    rec = run(p, make_grid(p.L1, p.L2, p.L3, p.L4, 16),
+              SchemeConfig(k_rule=1.0), T=16.0)
+    assert rec.failed and rec.final is None
+    assert rec.failure.startswith("BlowUpError") and "t=7.5" in rec.failure
+    assert rec.times == [float(n) for n in range(8)]
+    assert rec.sup_U == rec.l2_U[-1] > 1e70 and np.isfinite(rec.h2_err).all()
+
+
+@pytest.mark.parametrize("cfg", [CFG_COUPLED, CFG_SPLIT], ids=["coupled", "split"])
+def test_recorded_counts_are_the_solves_made(cfg, monkeypatch):
+    # one count per sub-step, and each is the number of linear solves: the
+    # coupled solver's solve, or one split line solve
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(penta.TensorLineSolver, "solve", counted(penta.TensorLineSolver.solve))
+    monkeypatch.setattr(scheme, "solve_line", counted(scheme.solve_line))
+    p = example3()
+    rec = run(p, make_grid(p.L1, p.L2, p.L3, p.L4, 8), cfg)
+    its = rec.diagnostics.picard_iterations
+    assert not rec.failed and len(its) == 2 * rec.N
+    assert sum(its) == len(calls)
+    assert its[2::2] == [1] * (rec.N - 1)     # every half-level: one direct solve
 
 
 def test_picard_iterations_modest_on_benchmark():

@@ -4,11 +4,13 @@
     (change the code)
     PYTHONPATH=src python tools/fingerprint.py --against old.json
 
-A fingerprint is the first 16 hex digits of a SHA-256 over the bytes of one
-`run()`: the final field, the l2_U and l2_err series, the six sup norms and
-the Picard iteration counts.  The JSON maps each configuration name to its
-fingerprint.  With ``--against`` the differing names go to stderr and the
-exit status is 1 if any fingerprint differs or a configuration is missing.
+A fingerprint of one `run()` reads `<values>-<counts>`: the first 16 hex
+digits of a SHA-256 over the bytes of the final field, the l2_U and l2_err
+series and the six sup norms, then the first 8 of one over the recorded
+solve counts, so that a change which only re-counts shows as such.  The
+JSON maps each configuration name to its fingerprint.  With ``--against``
+the differing names go to stderr and the exit status is 1 if any
+fingerprint differs or a configuration is missing.
 ``--M n`` runs every configuration at M = n (a quick check; names say the M
 used).
 """
@@ -58,14 +60,18 @@ CONFIGURATIONS = (
 )
 
 
-def fingerprint(rec) -> str:
-    """First 16 hex digits of the SHA-256 over one SolutionRecord's results."""
-    sups = [rec.sup_u, rec.sup_U, rec.sup_err, rec.sup_h2_u, rec.sup_h2_U, rec.sup_h2_err]
+def _digest(*parts) -> str:
     digest = hashlib.sha256()
-    for part in (rec.final.values, np.array(rec.l2_U), np.array(rec.l2_err),
-                 np.array(sups), np.array(rec.diagnostics.picard_iterations)):
-        digest.update(part.tobytes())
-    return digest.hexdigest()[:16]
+    for part in parts:
+        digest.update(np.asarray(part).tobytes())
+    return digest.hexdigest()
+
+
+def fingerprint(rec) -> str:
+    """`<values>-<counts>` of one SolutionRecord (see the module docstring)."""
+    sups = [rec.sup_u, rec.sup_U, rec.sup_err, rec.sup_h2_u, rec.sup_h2_U, rec.sup_h2_err]
+    values = _digest(rec.final.values, rec.l2_U, rec.l2_err, sups)
+    return f"{values[:16]}-{_digest(rec.diagnostics.picard_iterations)[:8]}"
 
 
 def fingerprints(M=None) -> dict:
