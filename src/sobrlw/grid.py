@@ -65,6 +65,21 @@ class Grid2D:
         X.flags.writeable = Y.flags.writeable = False
         return X, Y
 
+    def open_mesh(self):
+        """Coordinates as a column X, (M+1) x 1, and a row Y, 1 x (M+1).
+
+        An elementwise function of them broadcasts to its values on the
+        mesh, each coordinate computed once.  Built once per grid and
+        read-only, like mesh().
+        """
+        return self._open_mesh
+
+    @cached_property
+    def _open_mesh(self):
+        X, Y = self.xs()[:, None], self.ys()[None, :]
+        X.flags.writeable = Y.flags.writeable = False
+        return X, Y
+
     @property
     def interior(self) -> slice:
         return slice(2, self.M - 1)

@@ -21,7 +21,7 @@ all x-eigenmodes are factored, and solved, in one batched sweep over rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,7 +76,10 @@ def stencil_coefficients(h: float, alpha: float, beta: float, gamma: float,
 class PentaFactorization:
     """LU factors (no pivoting) of a pentadiagonal matrix, bandwidth 2.
 
-    Each array is (n,) for one system or (n, m) for m stacked systems.
+    Each array is (n,) for one system or (n, m) for m stacked systems;
+    rows holds the rows of a, b, d, e, f once, as lists of views (0-d for
+    one system, where a ufunc takes them faster than scalars), for the
+    sweeps of solve_line.
     """
 
     a: np.ndarray   # subsub multipliers
@@ -85,6 +88,12 @@ class PentaFactorization:
     e: np.ndarray   # superdiagonal of U
     f: np.ndarray   # supersuper diagonal of U
     n: int
+    rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(
+            [v[i, ...] for i in range(self.n)]
+            for v in (self.a, self.b, self.d, self.e, self.f)))
 
 
 def factor(bands: PentaBands) -> PentaFactorization:
@@ -120,28 +129,45 @@ def solve_line(fact: PentaFactorization, rhs: np.ndarray) -> np.ndarray:
     """Solve for one right-hand side (n,) or a batch (n, m).
 
     A stacked factorization of m systems takes (n, m), column l solved
-    with system l.
+    with system l.  Any other shape, a 0-d rhs included, is a
+    ConfigurationError naming it.  Both sweeps run over rows,
+
+        y_i = (y_i - b_i y_{i-1}) - a_i y_{i-2}
+        x_i = ((y_i - e_i x_{i+1}) - f_i x_{i+2}) / d_i,
+
+    each row operation writing into a row view of the result or into one
+    scratch row (the ufuncs' out argument, passed by position: it is the
+    cheaper call), in the result dtype of factors and right-hand side (at
+    least float64).
     """
     rhs = np.asarray(rhs)
     n = fact.n
-    if rhs.shape[0] != n:
-        raise ConfigurationError(f"rhs length {rhs.shape[0]} != system size {n}")
+    if rhs.ndim == 0 or rhs.shape[0] != n:
+        raise ConfigurationError(f"rhs of shape {rhs.shape} does not match "
+                                 f"the system size {n}")
     if fact.d.ndim == 2 and rhs.shape != fact.d.shape:
         raise ConfigurationError(f"rhs shape {rhs.shape} does not match the "
                                  f"factorization of shape {fact.d.shape}")
-    a, b, d, e, f = fact.a, fact.b, fact.d, fact.e, fact.f
-    y = np.array(rhs, dtype=np.result_type(rhs, d, float), order="C")
+    a, b, d, e, f = fact.rows
+    y = np.array(rhs, dtype=np.result_type(rhs, fact.d, float), order="C")
+    # row views; iterating a 1-D array would give copies as scalars
+    r = list(y.reshape(n, -1))
+    tmp = np.empty_like(r[0])
+    mul, sub, div = np.multiply, np.subtract, np.divide
     for i in range(1, n):
-        y[i] -= b[i] * y[i - 1]
+        sub(r[i], mul(b[i], r[i - 1], tmp), r[i])
         if i >= 2:
-            y[i] -= a[i] * y[i - 2]
-    x = np.empty_like(y)
-    x[n - 1] = y[n - 1] / d[n - 1]
+            sub(r[i], mul(a[i], r[i - 2], tmp), r[i])
+    # back substitution in place: x_i overwrites y_i, read only for x_i
+    div(r[n - 1], d[n - 1], r[n - 1])
     if n >= 2:
-        x[n - 2] = (y[n - 2] - e[n - 2] * x[n - 1]) / d[n - 2]
+        sub(r[n - 2], mul(e[n - 2], r[n - 1], tmp), r[n - 2])
+        div(r[n - 2], d[n - 2], r[n - 2])
     for i in range(n - 3, -1, -1):
-        x[i] = (y[i] - e[i] * x[i + 1] - f[i] * x[i + 2]) / d[i]
-    return x
+        sub(r[i], mul(e[i], r[i + 1], tmp), r[i])
+        sub(r[i], mul(f[i], r[i + 2], tmp), r[i])
+        div(r[i], d[i], r[i])
+    return y
 
 
 def multiply_line(bands: PentaBands, x: np.ndarray) -> np.ndarray:

@@ -26,7 +26,14 @@ _DIFF_STEP = 1e-2   # step for the high-order finite differences below
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A complete initial-boundary value problem for the model equation."""
+    """A complete initial-boundary value problem for the model equation.
+
+    exact, g, f1 and f2 must be elementwise in their array arguments.  The
+    steppers call f1 and f2 on the interior block {2..M-2}^2 only (X, Y, U
+    and the wide first derivative all interior-shaped), and exact and g on
+    the open coordinates of the grid (X a column, Y a row), broadcasting
+    the result to the mesh.
+    """
 
     name: str
     alpha: float

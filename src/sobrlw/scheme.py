@@ -130,17 +130,28 @@ def resolve_time_grid(grid: Grid2D, cfg: SchemeConfig, T: float) -> TimeGrid:
     return make_time_grid(T, float(cfg.k_rule))
 
 
+def _on_open_mesh(fn: Callable, grid: Grid2D, t: float) -> np.ndarray:
+    """fn(X, Y, t) on the open coordinates of grid, as (M+1) x (M+1) values."""
+    values = np.asarray(fn(*grid.open_mesh(), t), dtype=float)
+    shape = (grid.M + 1, grid.M + 1)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
+
+
 def fill_boundary_layers(values: np.ndarray, t: float, problem: ProblemSpec,
                          grid: Grid2D, mode: str) -> np.ndarray:
-    """Return a copy with node layers {0,1,M-1,M} set for time t."""
+    """Return a copy with node layers {0,1,M-1,M} set for time t.
+
+    The reference (or g) is called once, on the open coordinates of the
+    grid (X a column, Y a row, see Grid2D.open_mesh), and its result is
+    broadcast to the mesh; it must be elementwise in X and Y.
+    """
     M = grid.M
-    X, Y = grid.mesh()
     out = np.array(values, dtype=float, copy=True)
     if mode == "exact":
         if problem.exact is not None:
-            E = np.asarray(problem.exact(X, Y, t), dtype=float)
+            E = _on_open_mesh(problem.exact, grid, t)
         elif problem.g_extends:
-            E = np.broadcast_to(np.asarray(problem.g(X, Y, t), float), X.shape)
+            E = _on_open_mesh(problem.g, grid, t)
         else:
             raise ConfigurationError(
                 "boundary_mode='exact' needs a reference solution or a g "
@@ -150,7 +161,7 @@ def fill_boundary_layers(values: np.ndarray, t: float, problem: ProblemSpec,
             out[:, l] = E[:, l]
         return out
     if mode == "paper_copy":
-        G = np.broadcast_to(np.asarray(problem.g(X, Y, t), float), X.shape)
+        G = _on_open_mesh(problem.g, grid, t)
         out[0, :] = G[0, :]
         out[M, :] = G[M, :]
         out[1, :] = out[0, :]
@@ -211,7 +222,9 @@ class _Engine:
         self.cfg = cfg
         self.k = k
         self.n = grid.n_interior
-        self.X, self.Y = grid.mesh()
+        # the sources are read on the interior only (read-only views)
+        s = grid.interior
+        self.X, self.Y = (C[s, s] for C in grid.mesh())
         self.s = +1.0 if cfg.rhs_sign == "derived" else -1.0
         self.a_mass = problem.alpha if cfg.leapfrog_alpha == "on" else 1.0
         self.diagnostics = StepDiagnostics()
@@ -232,12 +245,51 @@ class _Engine:
             return five_point(U[s, :], cy, Axis.Y)
         return five_point(U[:, s], cx, Axis.X) + five_point(U[s, :], cy, Axis.Y)
 
+    def _frame_moved(self, U: np.ndarray, cx=None, cy=None) -> np.ndarray:
+        """_apply(frame, cx, cy) for the frame of U: its layers {0,1,M-1,M}
+        with a zero interior.
+
+        Only the two interior rows (cx) and columns (cy) next to each side
+        reach the frame.  Per direction, one five_point runs over the
+        frame's first and last six nodes, two layers and four zeros at each
+        end; its first and last two sums are the strips, summed as _apply
+        sums them.  Each of these sums has a +0 term from a zero node, so
+        adding +0 from the other direction changes none of them, and the
+        +0 outside the strips is what _apply's sums of zeros give.  Where
+        the strips overlap (n < 4) this is _apply itself.
+        """
+        n, s = self.n, self.grid.interior
+        if n < 4:
+            frame = U.copy()
+            frame[s, s] = 0.0
+            return self._apply(frame, cx, cy)
+        moved = np.zeros((n, n))
+        if cx is not None:
+            ends = np.zeros((12, n))
+            ends[:2], ends[-2:] = U[:2, s], U[-2:, s]
+            x = five_point(ends, cx, Axis.X)
+            moved[:2], moved[-2:] = x[:2], x[-2:]
+        if cy is not None:
+            ends = np.zeros((n, 12))
+            ends[:, :2], ends[:, -2:] = U[s, :2], U[s, -2:]
+            y = five_point(ends, cy, Axis.Y)
+            moved[:, :2] += y[:, :2]
+            moved[:, -2:] += y[:, -2:]
+        return moved
+
+    def source(self, axis: Axis, t: float, U: np.ndarray) -> np.ndarray:
+        """f1 (axis X) or f2 (axis Y) of the full field U at time t, on the
+        interior block: coordinates, U and its wide first derivative along
+        axis all reach the source as interior blocks."""
+        g, s = self.grid, self.grid.interior
+        if axis is Axis.X:
+            fsrc, d = self.problem.f1, wide_first_values(U[:, s], g.hx, axis)[s]
+        else:
+            fsrc, d = self.problem.f2, wide_first_values(U[s, :], g.hy, axis)[:, s]
+        return np.asarray(fsrc(self.X, self.Y, t, U[s, s], d), dtype=float)
+
     def f_total(self, t: float, U: np.ndarray) -> np.ndarray:
-        ux = wide_first_values(U, self.grid.hx, Axis.X)
-        uy = wide_first_values(U, self.grid.hy, Axis.Y)
-        p = self.problem
-        return np.asarray(p.f1(self.X, self.Y, t, U, ux)
-                          + p.f2(self.X, self.Y, t, U, uy), dtype=float)
+        return self.source(Axis.X, t, U) + self.source(Axis.Y, t, U)
 
     def _substep(self, op: _Operator, U_from: np.ndarray, t_next: float,
                  rhs: np.ndarray, implicit=None, what: str = "") -> np.ndarray:
@@ -251,9 +303,7 @@ class _Engine:
         s = self.grid.interior
         Un = fill_boundary_layers(U_from, t_next, self.problem, self.grid,
                                   self.cfg.boundary_mode)
-        frame = Un.copy()
-        frame[s, s] = 0.0
-        moved = self._apply(frame, *op.lhs)
+        moved = self._frame_moved(Un, *op.lhs)
         if implicit is None:
             new, its = op.solve(rhs - moved), 1
         else:
@@ -273,9 +323,9 @@ class _Engine:
         f(t, U): at t_from explicitly, at the new level iterated implicitly."""
         w, t_next = self.k / 4.0, t_from + self.k / 2.0
         rhs = (self._interior(U_from) + self._apply(U_from, *op.rhs)
-               + w * self._interior(f(t_from, U_from)))
+               + w * f(t_from, U_from))
         return self._substep(op, U_from, t_next, rhs, what=what,
-                             implicit=lambda U: w * self._interior(f(t_next, U)))
+                             implicit=lambda U: w * f(t_next, U))
 
     def _three_level(self, op: _Operator, base: np.ndarray, t_next: float,
                      *terms: np.ndarray) -> np.ndarray:
@@ -309,7 +359,7 @@ class _CoupledEngine(_Engine):
         """Three-level update spanning k, centered at t_mid."""
         k = self.k
         return self._three_level(self._ops["chain"], base, t_mid + k / 2.0,
-                                 k * self._interior(self.f_total(t_mid, mid)))
+                                 k * self.f_total(t_mid, mid))
 
     half_update = int_update = chain_step
 
@@ -338,14 +388,8 @@ class _SplitEngine(_Engine):
 
     def cn(self, axis: Axis, U_from: np.ndarray, t_from: float) -> np.ndarray:
         """Directional trapezoidal half-step (x carries f1, y carries f2)."""
-        g, p = self.grid, self.problem
-        h, fsrc = (g.hx, p.f1) if axis is Axis.X else (g.hy, p.f2)
-
-        def f(t, U):
-            d = wide_first_values(U, h, axis)
-            return np.asarray(fsrc(self.X, self.Y, t, U, d), dtype=float)
-
-        return self._trapezoid(self._ops[axis], U_from, t_from, f,
+        return self._trapezoid(self._ops[axis], U_from, t_from,
+                               partial(self.source, axis),
                                f"directional implicit step along {axis.name}")
 
     def startup(self, U0: np.ndarray) -> np.ndarray:
@@ -354,12 +398,10 @@ class _SplitEngine(_Engine):
     def leapfrog(self, U_half_prev: np.ndarray, U_int: np.ndarray,
                  t_n: float) -> np.ndarray:
         """Explicit-midpoint x-direction update spanning k."""
-        g, p, k = self.grid, self.problem, self.k
-        ux = wide_first_values(U_int, g.hx, Axis.X)
-        fmid = np.asarray(p.f1(self.X, self.Y, t_n, U_int, ux), dtype=float)
+        k = self.k
         return self._three_level(self._ops["leapfrog"], U_half_prev, t_n + k / 2.0,
                                  k * self._apply(U_int, self._c_mid),
-                                 k * self._interior(fmid))
+                                 k * self.source(Axis.X, t_n, U_int))
 
     half_update = leapfrog
 
@@ -478,7 +520,6 @@ def run(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig = SchemeConfig(),
     eng = _engine(problem, grid, cfg, k)
     rec = SolutionRecord(problem_name=problem.name, M=grid.M, k=k, N=N, cfg=cfg,
                          diagnostics=eng.diagnostics)
-    X, Y = grid.mesh()
     have_exact = problem.exact is not None
     dump_left = sorted(float(t) for t in dump_times)
 
@@ -489,7 +530,7 @@ def run(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig = SchemeConfig(),
         rec.l2_U.append(l2_norm(f))
         rec.h2_U.append(h2_norm(f, problem.alpha).h2)
         if have_exact:
-            ex = Field(grid, np.asarray(problem.exact(X, Y, t), float))
+            ex = Field(grid, _on_open_mesh(problem.exact, grid, t))
             err = Field(grid, ex.values - f.values)
             nu, ne = h2_norm(ex, problem.alpha), h2_norm(err, problem.alpha)
             rec.l2_u.append(nu.l2)

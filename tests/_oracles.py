@@ -175,3 +175,42 @@ def loop_inner_diff(u, v, hx, hy, M, variant):
         along = range(1, M)
     return hx * hy * sum(diff(u, p, q) * diff(v, p, q)
                          for p in along for q in range(2, M - 1))
+
+
+def loop_solve_line(fact, rhs):
+    """Forward and back substitution with one indexed row operation at a
+    time, on the factors a, b, d, e, f of a PentaFactorization."""
+    n = fact.n
+    a, b, d, e, f = fact.a, fact.b, fact.d, fact.e, fact.f
+    y = np.array(rhs, dtype=np.result_type(rhs, d, float), order="C")
+    for i in range(1, n):
+        y[i] -= b[i] * y[i - 1]
+        if i >= 2:
+            y[i] -= a[i] * y[i - 2]
+    x = np.empty_like(y)
+    x[n - 1] = y[n - 1] / d[n - 1]
+    if n >= 2:
+        x[n - 2] = (y[n - 2] - e[n - 2] * x[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (y[i] - e[i] * x[i + 1] - f[i] * x[i + 2]) / d[i]
+    return x
+
+
+def mesh_fill_boundary_layers(values, t, problem, grid, mode):
+    """Node layers {0,1,M-1,M} set for time t from the reference (or g)
+    evaluated on the full (M+1) x (M+1) mesh."""
+    M = grid.M
+    X, Y = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
+    out = np.array(values, dtype=float, copy=True)
+    source = problem.exact if mode == "exact" and problem.exact is not None else problem.g
+    E = np.broadcast_to(np.asarray(source(X, Y, t), float), X.shape)
+    if mode == "exact":
+        for l in (0, 1, M - 1, M):
+            out[l, :] = E[l, :]
+            out[:, l] = E[:, l]
+        return out
+    for l, edge in ((0, 0), (1, 0), (M - 1, M), (M, M)):
+        out[l, :] = E[edge, :]
+    for l, edge in ((0, 0), (1, 0), (M - 1, M), (M, M)):
+        out[:, l] = E[:, edge]
+    return out

@@ -9,7 +9,7 @@ from sobrlw import (ConfigurationError, PentaBands, SingularSystemError,
                     solve_line, time_step_rule)
 from sobrlw.penta import stencil_coefficients
 
-from _oracles import dense_banded, dense_gauss_solve
+from _oracles import dense_banded, dense_gauss_solve, loop_solve_line
 
 
 def random_dominant_bands(rng, n):
@@ -130,6 +130,46 @@ def test_solve_rejects_wrong_length():
     bands = PentaBands(0, 0, 1.0, 0, 0, n=4)
     with pytest.raises(ConfigurationError):
         solve_line(factor(bands), np.zeros(5))
+
+
+def test_solve_rejects_a_scalar_rhs_and_keeps_length_one():
+    # a 0-d right-hand side once ended in a raw IndexError
+    fact = factor(PentaBands(0, 0, 2.0, 0, 0, n=1))
+    with pytest.raises(ConfigurationError, match=r"shape \(\)"):
+        solve_line(fact, 2.0)
+    x = solve_line(fact, np.array([2.0]))
+    assert x.shape == (1,) and x[0] == 1.0
+
+
+def _sweep_case(rng, n, factors, rhs_kind):
+    """A factorization, scalar or of 4 stacked systems, and a right-hand side:
+    (n,) "vector", (n, 4) "batch", "complex" (a complex main diagonal when
+    stacked) or "int" (integer bands and right-hand side)."""
+    stacked = factors == "stacked"
+    shape = (n, 4) if stacked or rhs_kind == "batch" else (n,)
+    if rhs_kind == "int":
+        c_0 = np.array([10, 7, 12, 9]) if stacked else 10
+        return factor(PentaBands(1, 2, c_0, 3, 1, n=n)), rng.integers(-5, 6, size=shape)
+    off = rng.uniform(-1.0, 1.0, size=4)
+    c_0 = 3.0 + rng.uniform(0.5, 2.0, size=4 if stacked else None)
+    rhs = rng.standard_normal(shape)
+    if rhs_kind == "complex":
+        c_0 = c_0 + 1j * rng.uniform(-1.0, 1.0, size=4) if stacked else c_0
+        rhs = rhs + 1j * rng.standard_normal(shape)
+    return factor(PentaBands(off[0], off[1], c_0, off[2], off[3], n=n)), rhs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 61])
+@pytest.mark.parametrize("factors, rhs_kind", [
+    ("scalar", "vector"), ("scalar", "batch"), ("scalar", "complex"), ("scalar", "int"),
+    ("stacked", "batch"), ("stacked", "complex"), ("stacked", "int")])
+def test_solve_line_is_bitwise_the_row_loop(n, factors, rhs_kind):
+    # the sweep over cached row views must do exactly the arithmetic of the
+    # indexed row loop
+    fact, rhs = _sweep_case(np.random.default_rng(n), n, factors, rhs_kind)
+    x, ref = solve_line(fact, rhs), loop_solve_line(fact, rhs)
+    assert x.dtype == ref.dtype and x.shape == ref.shape
+    assert x.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(5,), (5, 4)], ids=["vector", "too-many-columns"])

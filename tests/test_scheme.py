@@ -5,16 +5,18 @@ import pytest
 
 from sobrlw import (BlowUpError, ConfigurationError, Field, PicardError,
                     ProblemSpec, SchemeConfig, SchemeState, advance,
-                    cn_x_step, cn_y_step, example1, example3,
+                    cn_x_step, cn_y_step, example1, example2, example3,
                     fill_boundary_layers, get_problem, init_half_step,
-                    l2_norm, leapfrog_x_step, make_grid, run, sample,
-                    time_step_rule)
+                    l2_norm, leapfrog_x_step, make_grid, manufactured, run,
+                    sample, time_step_rule)
 from sobrlw import penta, scheme
 from sobrlw.harness import random_frame_vanishing
+from sobrlw.problems import MANUFACTURED_PRESETS
 from sobrlw.scheme import make_time_grid
 from sobrlw.stencils import Axis
 
-from _oracles import constrained_2d_solve, directional_coeffs
+from _oracles import (constrained_2d_solve, directional_coeffs,
+                      mesh_fill_boundary_layers)
 
 CFG_COUPLED = SchemeConfig()
 CFG_SPLIT = SchemeConfig(stepper="split")
@@ -129,6 +131,77 @@ def test_fill_layers_exact_requires_reference_or_extension():
     g = make_grid(0, 1, 0, 1, 8)
     with pytest.raises(ConfigurationError):
         fill_boundary_layers(np.zeros((9, 9)), 0.0, blind, g, "exact")
+
+
+def _trig_rect():
+    return manufactured(0.6, 0.5, 0.7, MANUFACTURED_PRESETS["trig"],
+                        name="manufactured:trig", bounds=(0.0, 1.0, 0.0, 0.6))
+
+
+@pytest.mark.parametrize("make", [example1, example2, example3, _trig_rect],
+                         ids=["example1", "example2", "example3", "trig-rect"])
+@pytest.mark.parametrize("mode", ["exact", "paper_copy"])
+def test_fill_on_open_coordinates_is_bitwise_the_mesh_fill(make, mode):
+    # the reference (or g) is called on a coordinate column and row and
+    # broadcast; an elementwise reference gives the floats of the full mesh
+    p = make()
+    rng = np.random.default_rng(4)
+    for M in (4, 9, 16):
+        g = make_grid(p.L1, p.L2, p.L3, p.L4, M)
+        vals = rng.standard_normal((M + 1, M + 1))
+        for t in (0.0, 0.37, 1.0):
+            out = fill_boundary_layers(vals, t, p, g, mode)
+            assert out.tobytes() == mesh_fill_boundary_layers(vals, t, p, g, mode).tobytes()
+
+
+# --------------------------------------------------------------------------
+# frame and sources on the cells that read them
+
+
+@pytest.mark.parametrize("coeffs", [(0.6, 0.5, 0.7), (0.001, -1.0, -1.0)],
+                         ids=["trig-rect", "alpha+theta*gamma<0"])
+@pytest.mark.parametrize("cfg", [CFG_COUPLED, CFG_SPLIT], ids=["coupled", "split"])
+@pytest.mark.parametrize("L4", [1.0, 0.6], ids=["square", "rect"])
+@pytest.mark.parametrize("M", range(4, 10))
+def test_frame_strips_are_bitwise_the_full_stencil_sums(M, L4, cfg, coeffs):
+    # layers random, zero or negative zero; the interior of U is random and
+    # must not be read
+    p = manufactured(*coeffs, MANUFACTURED_PRESETS["trig"], bounds=(0.0, 1.0, 0.0, L4))
+    g = make_grid(0.0, 1.0, 0.0, L4, M)
+    eng = scheme._engine(p, g, cfg, time_step_rule(g.hx, g.hy))
+    rng = np.random.default_rng(M)
+    s = g.interior
+    for op in eng._ops.values():
+        for layers in (rng.standard_normal((M + 1, M + 1)), np.zeros((M + 1, M + 1)),
+                       np.full((M + 1, M + 1), -0.0)):
+            U = layers.copy()
+            U[s, s] = rng.standard_normal((M - 3, M - 3))
+            frame = layers.copy()
+            frame[s, s] = 0.0
+            moved = eng._frame_moved(U, *op.lhs)
+            assert moved.tobytes() == eng._apply(frame, *op.lhs).tobytes()
+
+
+@pytest.mark.parametrize("cfg", [CFG_COUPLED, CFG_SPLIT], ids=["coupled", "split"])
+def test_sources_receive_interior_blocks(cfg):
+    # f1 and f2 are read on the interior only, so they are handed the
+    # interior coordinates, the interior of U and of its wide derivative
+    p, seen = example3(), []
+
+    def recording(f):
+        def wrapper(X, Y, t, U, UZ):
+            seen.append((X, Y, U, UZ))
+            return f(X, Y, t, U, UZ)
+        return wrapper
+
+    g = make_grid(p.L1, p.L2, p.L3, p.L4, 9)
+    rec = run(replace(p, f1=recording(p.f1), f2=recording(p.f2)), g, cfg)
+    assert not rec.failed and seen
+    X, Y = g.mesh()
+    s = g.interior
+    for args in seen:
+        assert all(np.shape(a) == (g.n_interior, g.n_interior) for a in args)
+        assert np.array_equal(args[0], X[s, s]) and np.array_equal(args[1], Y[s, s])
 
 
 # --------------------------------------------------------------------------

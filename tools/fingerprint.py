@@ -56,6 +56,8 @@ CONFIGURATIONS = (
     ("example3", example3, 16, {}, None),
     ("example3 split", example3, 16, {"stepper": "split"}, None),
     ("example1 paper_copy", example1, 16, {"boundary_mode": "paper_copy"}, None),
+    ("example1 split paper_copy", example1, 16,
+     {"stepper": "split", "boundary_mode": "paper_copy"}, None),
     ("example1 rhs_sign=paper", example1, 16, {"rhs_sign": "paper"}, None),
 )
 
