@@ -20,13 +20,14 @@ The identities verified by sbp_residuals (for frame-vanishing w, v):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, FrameError
 from .grid import Field
-from .stencils import (Axis, _h, _second_diff, axis_first, half_diff_values,
+from .stencils import (Axis, _h, _second_diff, half_diff_values,
                        wide_first_values, wide_second_values)
 
 INNER_VARIANTS = ("plain", "half_x", "half_y", "second_x", "second_y",
@@ -42,29 +43,62 @@ def l2_norm(field: Field) -> float:
     return float(np.sqrt(_weight(field.grid) * np.sum(field.interior ** 2)))
 
 
-def _nodes(field: Field, axis: Axis, along: slice) -> np.ndarray:
-    """Values at nodes `along` the axis and 2..M-2 across it."""
-    M = field.grid.M
-    return axis_first(axis_first(field.values, axis)[along, 2:M - 1], axis)
+def _stack(field: Field, *more: Field) -> np.ndarray:
+    """Values of fields on one grid along a new leading axis (the stack).
+
+    Fields on the rows of one C-ordered stack, in order (Field keeps the
+    rows of a frozen stack without a copy), are given that stack itself.
+    """
+    for other in more:
+        field.same_grid(other)
+    if not more:
+        return field.values[None]
+    rows = [f.values for f in (field, *more)]
+    V = rows[0].base
+    if (isinstance(V, np.ndarray) and V.flags.c_contiguous
+            and V.shape == (len(rows),) + rows[0].shape):
+        start, step = V.ctypes.data, V.strides[0]
+        if all(r.base is V and r.ctypes.data == start + i * step for i, r in enumerate(rows)):
+            return V
+    return np.array(rows)
 
 
-def _half_block(field: Field, axis: Axis) -> np.ndarray:
-    """Half differences at i+1/2 for i = 1..M-2 along axis (see the table)."""
-    return half_diff_values(_nodes(field, axis, slice(1, field.grid.M)),
-                            _h(field.grid, axis), axis)
+def _interior_block(V: np.ndarray, grid) -> np.ndarray:
+    """Values at i, j = 2..M-2 of each field of the stack V, as a new array."""
+    s = grid.interior
+    return V[:, s, s].copy()
 
 
-def _second_block(field: Field, axis: Axis) -> np.ndarray:
-    """Second differences at i = 1..M-1 along axis (see the table)."""
-    return _second_diff(_nodes(field, axis, slice(None)), _h(field.grid, axis), axis)
+def _half_block(V: np.ndarray, grid, axis: Axis) -> np.ndarray:
+    """Half differences at i+1/2 for i = 1..M-2 along axis (see the table),
+    of each field of the stack V."""
+    M = grid.M
+    nodes = V[:, 1:M, 2:M - 1] if axis is Axis.X else V[:, 2:M - 1, 1:M]
+    return half_diff_values(nodes, _h(grid, axis), axis)
 
 
-def _half_sq(field: Field, axis: Axis) -> float:
-    return float(_weight(field.grid) * np.sum(_half_block(field, axis) ** 2))
+def _second_block(V: np.ndarray, grid, axis: Axis) -> np.ndarray:
+    """Second differences at i = 1..M-1 along axis (see the table), of each
+    field of the stack V."""
+    M = grid.M
+    nodes = V[:, :, 2:M - 1] if axis is Axis.X else V[:, 2:M - 1]
+    return _second_diff(nodes, _h(grid, axis), axis)
 
 
-def _second_sq(field: Field, axis: Axis) -> float:
-    return float(_weight(field.grid) * np.sum(_second_block(field, axis) ** 2))
+def _sq_sums(block: np.ndarray, grid) -> list:
+    """hx*hy times the sum of squares of each field's block, squared in place.
+
+    Each field's block is contiguous, and one reduction over the stack sums
+    it in the order np.sum takes over that block alone.
+    """
+    w = _weight(grid)
+    return [w * s for s in np.square(block, block).sum(axis=(1, 2)).tolist()]
+
+
+def _axis_sq_sums(V: np.ndarray, grid, axis: Axis) -> tuple[list, list]:
+    """|half|^2 and |second|^2 along axis, one entry per field of the stack V."""
+    return (_sq_sums(_half_block(V, grid, axis), grid),
+            _sq_sums(_second_block(V, grid, axis), grid))
 
 
 @dataclass(frozen=True)
@@ -80,31 +114,41 @@ class NormReport:
     second_y_sq: float
 
 
-def h2_norm(field: Field, alpha: float) -> NormReport:
+def h2_norm(field: Field, alpha: float, *more: Field) -> NormReport | tuple[NormReport, ...]:
     """Weighted H2 norm:
 
     h2^2 = l2^2 + alpha*[ |half_x|^2 + |half_y|^2
                           + (hx^2/12)|second_x|^2 + (hy^2/12)|second_y|^2 ]
+
+    h2_norm(field, alpha) returns the NormReport of field;
+    h2_norm(field, alpha, *more) returns a tuple with one NormReport per
+    field, in order, for fields on one grid.  The stacked form forms each
+    block of the table once over the values of all fields and reduces it
+    with one sum; each report is bit for bit the one-field report.  Fields
+    on the rows of one frozen stack, in order, are read from that stack
+    without a copy.
     """
     if alpha <= 0:
         raise ConfigurationError(f"alpha must be positive, got {alpha}")
-    g = field.grid
-    l2_sq = _weight(g) * float(np.sum(field.interior ** 2))
-    gx = _half_sq(field, Axis.X)
-    gy = _half_sq(field, Axis.Y)
-    cx = _second_sq(field, Axis.X)
-    cy = _second_sq(field, Axis.Y)
-    h2_sq = l2_sq + alpha * (gx + gy + (g.hx ** 2 / 12.0) * cx + (g.hy ** 2 / 12.0) * cy)
-    return NormReport(l2=float(np.sqrt(l2_sq)), h2=float(np.sqrt(h2_sq)),
-                      l2_sq=l2_sq, half_x_sq=gx, half_y_sq=gy,
-                      second_x_sq=cx, second_y_sq=cy)
+    V, g = _stack(field, *more), field.grid
+    l2 = _sq_sums(_interior_block(V, g), g)
+    gx, cx = _axis_sq_sums(V, g, Axis.X)
+    gy, cy = _axis_sq_sums(V, g, Axis.Y)
+    wx, wy = g.hx ** 2 / 12.0, g.hy ** 2 / 12.0
+    reports = tuple(
+        NormReport(l2=math.sqrt(l2_sq), h2=math.sqrt(l2_sq + alpha * (hx + hy + wx * sx + wy * sy)),
+                   l2_sq=l2_sq, half_x_sq=hx, half_y_sq=hy, second_x_sq=sx, second_y_sq=sy)
+        for l2_sq, hx, hy, sx, sy in zip(l2, gx, gy, cx, cy))
+    return reports if more else reports[0]
 
 
 def directional_energy(field: Field, axis: Axis, alpha: float) -> float:
     """l2^2 + alpha*(|half_z|^2 + (h_z^2/12)|second_z|^2) for one axis z."""
-    h = _h(field.grid, axis)
-    l2_sq = _weight(field.grid) * float(np.sum(field.interior ** 2))
-    return l2_sq + alpha * (_half_sq(field, axis) + (h * h / 12.0) * _second_sq(field, axis))
+    g, V = field.grid, field.values[None]
+    (l2_sq,) = _sq_sums(_interior_block(V, g), g)
+    (half,), (second,) = _axis_sq_sums(V, g, axis)
+    h = _h(g, axis)
+    return l2_sq + alpha * (half + (h * h / 12.0) * second)
 
 
 def inner(u: Field, v: Field, variant: str = "plain") -> float:
@@ -125,7 +169,8 @@ def inner(u: Field, v: Field, variant: str = "plain") -> float:
     axis = Axis.X if variant.endswith("x") else Axis.Y
     if variant.startswith(("half", "second")):
         block = _half_block if variant.startswith("half") else _second_block
-        return float(w * np.sum(block(u, axis) * block(v, axis)))
+        bu, bv = block(_stack(u, v), g, axis)
+        return float(w * np.sum(bu * bv))
     op = wide_first_values if variant.startswith("wide1") else wide_second_values
     s = g.interior
     return float(w * np.sum(op(u.values, _h(g, axis), axis)[s, s] * v.interior))
@@ -165,8 +210,10 @@ def sbp_residuals(w: Field) -> SbpResiduals:
     g = w.grid
     r1x = abs(inner(w, w, "wide1_x"))
     r1y = abs(inner(w, w, "wide1_y"))
-    e_x = _half_sq(w, Axis.X) + (g.hx ** 2 / 12.0) * _second_sq(w, Axis.X)
-    e_y = _half_sq(w, Axis.Y) + (g.hy ** 2 / 12.0) * _second_sq(w, Axis.Y)
+    (hx,), (sx,) = _axis_sq_sums(w.values[None], g, Axis.X)
+    (hy,), (sy,) = _axis_sq_sums(w.values[None], g, Axis.Y)
+    e_x = hx + (g.hx ** 2 / 12.0) * sx
+    e_y = hy + (g.hy ** 2 / 12.0) * sy
     r2x = abs(-inner(w, w, "wide2_x") - e_x)
     r2y = abs(-inner(w, w, "wide2_y") - e_y)
     return SbpResiduals(r1x, r1y, r2x, r2y)

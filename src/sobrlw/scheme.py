@@ -525,18 +525,28 @@ def run(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig = SchemeConfig(),
 
     def observe(level_n: int, values: np.ndarray):
         t = level_n * k
-        f = Field(grid, values)
-        rec.times.append(t)
-        rec.l2_U.append(l2_norm(f))
-        rec.h2_U.append(h2_norm(f, problem.alpha).h2)
         if have_exact:
-            ex = Field(grid, _on_open_mesh(problem.exact, grid, t))
-            err = Field(grid, ex.values - f.values)
-            nu, ne = h2_norm(ex, problem.alpha), h2_norm(err, problem.alpha)
+            # U, u and e = u - U as the rows of one frozen stack, which
+            # h2_norm takes without a copy; each Field checks its row is finite
+            V = np.empty((3,) + values.shape)
+            V[0] = values
+            V[1] = _on_open_mesh(problem.exact, grid, t)
+            np.subtract(V[1], V[0], V[2])
+            V.flags.writeable = False
+            f, ex, err = (Field(grid, v) for v in V)
+            nU, nu, ne = h2_norm(f, problem.alpha, ex, err)
             rec.l2_u.append(nu.l2)
             rec.l2_err.append(ne.l2)
             rec.h2_u.append(nu.h2)
             rec.h2_err.append(ne.h2)
+        else:
+            f = Field(grid, values)
+            nU = h2_norm(f, problem.alpha)
+        rec.times.append(t)
+        # nU.l2 has the same bits; the call of its own is what
+        # benchmarks/tracing.py counts as norms.l2
+        rec.l2_U.append(l2_norm(f))
+        rec.h2_U.append(nU.h2)
         while dump_left and t >= dump_left[0] - 0.25 * k:
             rec.snapshots[dump_left.pop(0)] = (t, f)
 

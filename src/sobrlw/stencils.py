@@ -42,16 +42,31 @@ def axis_first(values: np.ndarray, axis: Axis) -> np.ndarray:
     return values if axis is Axis.X else values.T
 
 
+def _along(values: np.ndarray, axis: Axis, nodes: slice) -> np.ndarray:
+    """values at `nodes` along axis: X is the second-to-last axis, Y the last.
+
+    Leading axes, if any, index a stack of fields.
+    """
+    return values[..., nodes, :] if axis is Axis.X else values[..., nodes]
+
+
 def half_diff_values(values: np.ndarray, h: float, axis: Axis) -> np.ndarray:
-    """Half-point differences; entry m holds the value at m + 1/2."""
-    v = axis_first(values, axis)
-    return axis_first((v[1:] - v[:-1]) / h, axis)
+    """Half-point differences; entry m holds the value at m + 1/2.
+
+    values may carry leading stack axes (see _along); so may _second_diff's.
+    """
+    d = np.subtract(_along(values, axis, slice(1, None)), _along(values, axis, slice(None, -1)))
+    return np.divide(d, h, d)
 
 
 def _second_diff(values: np.ndarray, h: float, axis: Axis) -> np.ndarray:
     """Second differences at nodes 1..L-1 along axis, for L + 1 nodes there."""
-    v = axis_first(values, axis)
-    return axis_first((v[2:] - 2 * v[1:-1] + v[:-2]) / (h * h), axis)
+    # (v[2:] - 2 v[1:-1]) + v[:-2], in that order, in one array: a stack of
+    # fields makes each temporary as large as the stack
+    d = np.multiply(2, _along(values, axis, slice(1, -1)))
+    np.subtract(_along(values, axis, slice(2, None)), d, d)
+    np.add(d, _along(values, axis, slice(None, -2)), d)
+    return np.divide(d, h * h, d)
 
 
 def five_point(values: np.ndarray, w: np.ndarray, axis: Axis) -> np.ndarray:

@@ -118,6 +118,43 @@ def loop_directional_energy(values, hx, hy, M, axis_x, alpha):
     return w * (l2 + alpha * (g + hy ** 2 / 12.0 * c))
 
 
+def per_field_blocks(values, hx, hy, M):
+    """The five blocks of the norms table for one field, each formed alone.
+
+    Whole-array numpy arithmetic on one field: plain values, then
+    (v[1:] - v[:-1]) / h and (v[2:] - 2 v[1:-1] + v[:-2]) / h^2 along x, and
+    along y on the transpose, transposed back.  Keys: plain, half_x, half_y,
+    second_x, second_y.
+    """
+    s = slice(2, M - 1)
+
+    def half(v, h):
+        return (v[1:] - v[:-1]) / h
+
+    def second(v, h):
+        return (v[2:] - 2 * v[1:-1] + v[:-2]) / (h * h)
+
+    return {"plain": values[s, s],
+            "half_x": half(values[1:M, s], hx), "half_y": half(values.T[1:M, s], hy).T,
+            "second_x": second(values[:, s], hx), "second_y": second(values.T[:, s], hy).T}
+
+
+def per_field_norm_report(values, hx, hy, M, alpha):
+    """h2_norm's report of one field, each squared block summed by np.sum.
+
+    Returns a dict with the names of NormReport's fields.
+    """
+    w = hx * hy
+    b = per_field_blocks(values, hx, hy, M)
+    sq = {name: float(w * np.sum(block ** 2)) for name, block in b.items()}
+    l2_sq = sq["plain"]
+    h2_sq = l2_sq + alpha * (sq["half_x"] + sq["half_y"] + (hx ** 2 / 12.0) * sq["second_x"]
+                             + (hy ** 2 / 12.0) * sq["second_y"])
+    return {"l2": float(np.sqrt(l2_sq)), "h2": float(np.sqrt(h2_sq)), "l2_sq": l2_sq,
+            "half_x_sq": sq["half_x"], "half_y_sq": sq["half_y"],
+            "second_x_sq": sq["second_x"], "second_y_sq": sq["second_y"]}
+
+
 # nested sixth-order central differences of a reference solution, one call of
 # fn per sample (step 1e-2, as in sobrlw.problems)
 _STEP = 1e-2
@@ -213,4 +250,38 @@ def mesh_fill_boundary_layers(values, t, problem, grid, mode):
         out[l, :] = E[edge, :]
     for l, edge in ((0, 0), (1, 0), (M - 1, M), (M, M)):
         out[:, l] = E[:, edge]
+    return out
+
+
+OBSERVED_SERIES = ("times", "l2_u", "l2_U", "l2_err", "h2_u", "h2_U", "h2_err")
+
+
+def per_field_observe(problem, levels):
+    """run()'s per-level series, observed one field at a time.
+
+    levels: (t, Field of U) for each integer level, in order.  Per level:
+    the l2 and h2 norms of U (per_field_norm_report); with a reference u
+    (called on the open coordinates and broadcast to a C-ordered mesh
+    array, as run() calls it) also those of u and of u - U.  Returns a
+    dict from each name in OBSERVED_SERIES to its list.
+    """
+    out = {name: [] for name in OBSERVED_SERIES}
+    for t, U in levels:
+        g = U.grid
+
+        def report(values):
+            return per_field_norm_report(values, g.hx, g.hy, g.M, problem.alpha)
+
+        nU = report(U.values)
+        out["times"].append(t)
+        out["l2_U"].append(nU["l2"])
+        out["h2_U"].append(nU["h2"])
+        if problem.exact is not None:
+            ref = np.asarray(problem.exact(*g.open_mesh(), t), dtype=float)
+            u = np.array(np.broadcast_to(ref, U.values.shape))
+            nu, ne = report(u), report(u - U.values)
+            out["l2_u"].append(nu["l2"])
+            out["l2_err"].append(ne["l2"])
+            out["h2_u"].append(nu["h2"])
+            out["h2_err"].append(ne["h2"])
     return out

@@ -1,4 +1,5 @@
 """tools/fingerprint.py: run fingerprints repeat exactly and flag any change."""
+import copy
 import importlib.util
 import json
 from pathlib import Path
@@ -55,3 +56,22 @@ def test_a_changed_count_changes_only_the_counts_part(tool):
     rec.diagnostics.picard_iterations[-1] += 1
     new_values, new_counts = tool.fingerprint(rec).split("-")
     assert new_values == values and new_counts != counts
+
+
+@pytest.fixture(scope="module")
+def example1_record():
+    return run(example1(), make_grid(0.0, 1.0, 0.0, 1.0, 8))
+
+
+@pytest.mark.parametrize("name", ["times", "l2_u", "l2_U", "l2_err", "h2_u", "h2_U", "h2_err"])
+def test_fingerprint_sees_one_ulp_of_a_level_below_the_series_maximum(tool, example1_record, name):
+    rec = copy.deepcopy(example1_record)
+    values, counts = tool.fingerprint(rec).split("-")
+    series = getattr(rec, name)
+    low = series.index(min(series))
+    sups = [rec.sup_u, rec.sup_U, rec.sup_err, rec.sup_h2_u, rec.sup_h2_U, rec.sup_h2_err]
+    series[low] = float(np.nextafter(series[low], np.inf))
+    assert series[low] < max(series)
+    assert [rec.sup_u, rec.sup_U, rec.sup_err, rec.sup_h2_u, rec.sup_h2_U, rec.sup_h2_err] == sups
+    new_values, new_counts = tool.fingerprint(rec).split("-")
+    assert new_values != values and new_counts == counts

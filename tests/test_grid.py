@@ -120,6 +120,29 @@ def test_field_values_are_read_only():
         f.values[0, 0] = 1.0
 
 
+def test_field_keeps_a_frozen_c_ordered_array_and_copies_anything_else():
+    g = make_grid(0, 1, 0, 1, 4)
+    V = np.arange(75.0).reshape(3, 5, 5).copy()
+    copied = Field(g, V[1])
+    assert not np.shares_memory(copied.values, V) and not copied.values.flags.writeable
+    V.flags.writeable = False
+    assert Field(g, V[1]).values.base is V
+    # a frozen reshape of a writable array is not frozen down to its memory
+    R = np.arange(75.0).reshape(3, 5, 5)
+    R.flags.writeable = False
+    assert not np.shares_memory(Field(g, R[1]).values, R)
+    # a transposed row is not C-ordered, so it is copied into C order
+    transposed = Field(g, V[1].T)
+    assert not np.shares_memory(transposed.values, V) and transposed.values.flags.c_contiguous
+    # a read-only view of a writable array could still change under the Field
+    W = np.ones((5, 5))
+    view = W[:]
+    view.flags.writeable = False
+    assert not np.shares_memory(Field(g, view).values, W)
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        Field(g, np.broadcast_to(np.nan, (5, 5)))
+
+
 def test_time_grid():
     tg = TimeGrid(T=1.0, N=16)
     assert tg.k == 0.0625

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from sobrlw import (Axis, ConfigurationError, Field, FrameError,
-                    directional_energy, h2_norm, inner, l2_norm, make_grid,
-                    sample, sbp_residuals)
+                    GridMismatchError, NormReport, directional_energy,
+                    h2_norm, inner, l2_norm, make_grid, sample, sbp_residuals)
+from sobrlw import norms
 from sobrlw.harness import random_frame_vanishing
 
 from _oracles import (loop_directional_energy, loop_h2_sq, loop_inner_diff,
-                      loop_l2_norm)
+                      loop_l2_norm, per_field_blocks, per_field_norm_report)
 
 # the unit square, and a rectangle whose hx = 0.2 and hy = 0.17 differ
 SQUARE_AND_RECT = (make_grid(0, 1, 0, 1, 10), make_grid(0, 2, -1, 0.7, 10))
@@ -57,7 +58,6 @@ def test_inner_with_zero():
 
 
 def test_inner_rejects_grid_mismatch_and_bad_variant():
-    from sobrlw import GridMismatchError
     g1 = make_grid(0, 1, 0, 1, 8)
     g2 = make_grid(0, 1, 0, 1, 9)
     u = Field(g1, np.zeros((9, 9)))
@@ -97,6 +97,77 @@ def test_h2_norm_matches_loop_oracle():
         rep = h2_norm(f, alpha=0.8)
         want = loop_h2_sq(f.values, g.hx, g.hy, 10, 0.8)
         assert abs(rep.h2 ** 2 - want) <= 1e-14 * want
+
+
+def _hex_report(rep):
+    return {name: getattr(rep, name).hex() for name in NormReport.__dataclass_fields__}
+
+
+@pytest.mark.parametrize("M", [4, 5, 9, 64, 128])
+@pytest.mark.parametrize("L4", [1.0, 0.6], ids=["square", "rect"])
+def test_stacked_h2_norm_is_bitwise_the_per_field_arithmetic(M, L4):
+    # at M = 128 each field's blocks hold more than numpy's 8192-element
+    # buffer; the one reduction over the stack must still sum each field's
+    # block in np.sum's order
+    rng = np.random.default_rng(M)
+    g = make_grid(0, 1, 0, L4, M)
+    f, u, e = (Field(g, rng.standard_normal((M + 1, M + 1))) for _ in range(3))
+    stacked = h2_norm(f, 0.7, u, e)
+    assert isinstance(stacked, tuple) and len(stacked) == 3
+    for got, field in zip(stacked, (f, u, e)):
+        want = {name: x.hex() for name, x in
+                per_field_norm_report(field.values, g.hx, g.hy, M, 0.7).items()}
+        assert _hex_report(got) == want
+        assert _hex_report(h2_norm(field, 0.7)) == want
+        assert l2_norm(field).hex() == want["l2"]
+        loop = loop_h2_sq(field.values, g.hx, g.hy, M, 0.7)
+        assert abs(got.h2 ** 2 - loop) <= 1e-14 * loop
+    assert h2_norm(f, 0.7, f) == (h2_norm(f, 0.7),) * 2
+
+
+@pytest.mark.parametrize("M", [5, 64, 128])
+def test_energies_residuals_and_difference_inners_are_bitwise_the_per_field_arithmetic(M):
+    # directional_energy, sbp_residuals and the half/second inner products
+    # form their blocks with h2_norm's code; each must keep the bits of the
+    # per-field arithmetic
+    rng = np.random.default_rng(M + 1)
+    g = make_grid(0, 1, 0, 0.6, M)
+    w = random_frame_vanishing(g, rng)
+    v = Field(g, rng.standard_normal((M + 1, M + 1)))
+    rep = per_field_norm_report(w.values, g.hx, g.hy, M, 1.0)
+    energy = {}
+    for axis, z, h in ((Axis.X, "x", g.hx), (Axis.Y, "y", g.hy)):
+        energy[z] = rep[f"half_{z}_sq"] + (h ** 2 / 12.0) * rep[f"second_{z}_sq"]
+        want = rep["l2_sq"] + 0.9 * (rep[f"half_{z}_sq"] + (h * h / 12.0) * rep[f"second_{z}_sq"])
+        assert directional_energy(w, axis, 0.9).hex() == want.hex()
+    r = sbp_residuals(w)
+    assert r.wide2_energy_x == abs(-inner(w, w, "wide2_x") - energy["x"])
+    assert r.wide2_energy_y == abs(-inner(w, w, "wide2_y") - energy["y"])
+    bw, bv = (per_field_blocks(x.values, g.hx, g.hy, M) for x in (w, v))
+    for variant in ("half_x", "half_y", "second_x", "second_y"):
+        want = float(g.hx * g.hy * np.sum(bw[variant] * bv[variant]))
+        assert inner(w, v, variant).hex() == want.hex(), variant
+
+
+def test_stacked_h2_norm_takes_the_rows_of_a_frozen_stack_as_is():
+    g = make_grid(0, 1, 0, 0.6, 9)
+    V = np.random.default_rng(3).standard_normal((3, 10, 10))
+    V.flags.writeable = False
+    f, u, e = (Field(g, v) for v in V)
+    assert norms._stack(f, u, e) is V
+    # rows out of order, or not all of them, are stacked anew
+    assert norms._stack(u, f, e) is not V and norms._stack(f, u) is not V
+    want = [_hex_report(h2_norm(x, 0.7)) for x in (f, u, e)]
+    assert [_hex_report(r) for r in h2_norm(f, 0.7, u, e)] == want
+    assert [_hex_report(r) for r in h2_norm(e, 0.7, u, f)] == want[::-1]
+
+
+def test_stacked_h2_norm_rejects_a_field_on_another_grid():
+    g = make_grid(0, 1, 0, 1, 8)
+    f = Field(g, np.zeros((9, 9)))
+    for other in (make_grid(0, 1, 0, 0.6, 8), make_grid(0, 1, 0, 1, 9)):
+        with pytest.raises(GridMismatchError):
+            h2_norm(f, 1.0, f, Field(other, np.zeros((other.M + 1,) * 2)))
 
 
 def test_inner_difference_variants_match_loop_oracle():

@@ -15,8 +15,9 @@ from sobrlw.problems import MANUFACTURED_PRESETS
 from sobrlw.scheme import make_time_grid
 from sobrlw.stencils import Axis
 
-from _oracles import (constrained_2d_solve, directional_coeffs,
-                      mesh_fill_boundary_layers)
+from _oracles import (OBSERVED_SERIES, constrained_2d_solve,
+                      directional_coeffs, mesh_fill_boundary_layers,
+                      per_field_observe)
 
 CFG_COUPLED = SchemeConfig()
 CFG_SPLIT = SchemeConfig(stepper="split")
@@ -275,6 +276,40 @@ def test_sups_are_read_only_maxima_of_the_level_series():
     free = run(free_problem(np.random.default_rng(0), g, 1.0), g, CFG_COUPLED)
     assert free.l2_u == free.h2_err == [] and free.sup_u == free.sup_h2_err == 0.0
     assert free.sup_h2_U == max(free.h2_U) > 0.0
+
+
+@pytest.mark.parametrize("make, cfg", [
+    (example1, CFG_COUPLED),
+    (example1, CFG_SPLIT),
+    (_trig_rect, CFG_COUPLED),
+    (lambda: replace(example1(), exact=None), SchemeConfig(boundary_mode="paper_copy")),
+], ids=["example1-coupled", "example1-split", "trig-rect", "no-reference"])
+def test_observed_series_are_bitwise_the_per_field_norms(make, cfg):
+    # run() observes U, u and u - U in one stacked norm pass per level; every
+    # level, captured through dump_times, must give the per-field norms' bits
+    p = make()
+    g = make_grid(p.L1, p.L2, p.L3, p.L4, 16)
+    tg = scheme.resolve_time_grid(g, cfg, p.T)
+    rec = run(p, g, cfg, dump_times=[n * tg.k for n in range(tg.N + 1)])
+    assert not rec.failed and len(rec.snapshots) == len(rec.times) == tg.N + 1
+    want = per_field_observe(p, [rec.snapshots[t] for t in sorted(rec.snapshots)])
+    for name in OBSERVED_SERIES:
+        got = getattr(rec, name)
+        assert [x.hex() for x in got] == [x.hex() for x in want[name]], name
+    assert (p.exact is None) == (rec.l2_u == rec.h2_err == [])
+
+
+def test_a_non_finite_reference_at_an_observed_level_is_a_configuration_error():
+    # NaN at one interior node from t = 0.3 on: the boundary fill never reads
+    # that node, so only the observation sees it, and it must not turn into
+    # NaN norms
+    base = example1()
+
+    def exact(X, Y, t):
+        return np.where((X == 0.5) & (Y == 0.5) & (t >= 0.3), np.nan, base.exact(X, Y, t))
+
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        run(replace(base, exact=exact), make_grid(0, 1, 0, 1, 8))
 
 
 @pytest.mark.parametrize("cfg", [CFG_COUPLED, CFG_SPLIT], ids=["coupled", "split"])

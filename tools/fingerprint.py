@@ -5,12 +5,14 @@
     PYTHONPATH=src python tools/fingerprint.py --against old.json
 
 A fingerprint of one `run()` reads `<values>-<counts>`: the first 16 hex
-digits of a SHA-256 over the bytes of the final field, the l2_U and l2_err
-series and the six sup norms, then the first 8 of one over the recorded
-solve counts, so that a change which only re-counts shows as such.  The
-JSON maps each configuration name to its fingerprint.  With ``--against``
-the differing names go to stderr and the exit status is 1 if any
-fingerprint differs or a configuration is missing.
+digits of a SHA-256 over the bytes of the final field, the level times and
+all six per-level norm series (l2 and h2 of U, of the reference u and of the
+error), then the first 8 of one over the recorded solve counts, so that a
+change which only re-counts shows as such.  The six sup norms are maxima of
+these series; hashing each whole series also catches a value that moves
+below its series maximum.  The JSON maps each configuration name to its
+fingerprint.  With ``--against`` the differing names go to stderr and the
+exit status is 1 if any fingerprint differs or a configuration is missing.
 ``--M n`` runs every configuration at M = n (a quick check; names say the M
 used).
 """
@@ -62,6 +64,9 @@ CONFIGURATIONS = (
 )
 
 
+SERIES = ("l2_u", "l2_U", "l2_err", "h2_u", "h2_U", "h2_err")
+
+
 def _digest(*parts) -> str:
     digest = hashlib.sha256()
     for part in parts:
@@ -71,8 +76,7 @@ def _digest(*parts) -> str:
 
 def fingerprint(rec) -> str:
     """`<values>-<counts>` of one SolutionRecord (see the module docstring)."""
-    sups = [rec.sup_u, rec.sup_U, rec.sup_err, rec.sup_h2_u, rec.sup_h2_U, rec.sup_h2_err]
-    values = _digest(rec.final.values, rec.l2_U, rec.l2_err, sups)
+    values = _digest(rec.final.values, rec.times, *(getattr(rec, name) for name in SERIES))
     return f"{values[:16]}-{_digest(rec.diagnostics.picard_iterations)[:8]}"
 
 
