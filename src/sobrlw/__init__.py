@@ -5,7 +5,7 @@ leapfrog/trapezoidal time stepping, pentadiagonal line solves, and a
 benchmark harness for convergence studies and discrete-identity checks.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .errors import (BlowUpError, ConfigurationError, FrameError,
                      GridMismatchError, NumericalError, PicardError,
@@ -17,7 +17,7 @@ from .harness import (ConvergenceRow, RunManifest, VerifyReport,
 from .norms import (NormReport, SbpResiduals, directional_energy, h2_norm,
                     inner, l2_norm, sbp_residuals)
 from .penta import (PentaBands, PentaFactorization, TensorLineSolver, factor,
-                    multiply_line, solve_line)
+                    solve_line)
 from .problems import (ProblemSpec, ResidualCheck, example1, example2,
                        example3, get_problem, manufactured, residual_check)
 from .scheme import (SchemeConfig, SchemeState, SolutionRecord,

@@ -162,12 +162,16 @@ _W1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0])      # /(60 h)
 _W2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0])  # /(180 h^2)
 
 
-def _stencil1(samples, h):
-    return sum(w * s for w, s in zip(_W1, samples)) / (60.0 * h)
+def _add_term(acc, k, w, s, tmp):
+    """acc holding 0 + w_0 s_0 + ... + w_k s_k, given the sum up to k - 1.
 
-
-def _stencil2(samples, h):
-    return sum(w * s for w, s in zip(_W2, samples)) / (180.0 * h * h)
+    The terms are added in the order, and with the leading 0, of sum() over
+    the products, so the bits are sum()'s (a sum of -0.0 terms is +0.0).
+    """
+    if k == 0:
+        np.add(0, np.multiply(w, s, acc), acc)
+    else:
+        np.add(acc, np.multiply(w, s, tmp), acc)
 
 
 def _open(A):
@@ -202,21 +206,37 @@ def _directional_derivatives(fn, X, Y, t, axis):
     derivatives cost 7 calls of fn.  The coordinates are first cut to
     length 1 along their constant axes (_open) and fn's result is broadcast
     back to the full stack.
+
+    One pass over the time offsets holds one stack at a time: the u_zz of
+    each offset and its middle sample go into the u_tzz and u_t sums as it
+    is read.  Every sum is formed by _add_term in buffers of the input
+    shape; fn's result is only read.  Scalar inputs give numpy scalars.
     """
     h = _DIFF_STEP
     shape = np.broadcast_shapes(np.shape(X), np.shape(Y))
     X, Y = _open(X), _open(Y)
     shift = (np.arange(-3, 4) * h).reshape((7,) + (1,) * len(shape))
     coords = (X + shift, Y) if axis == 0 else (X, Y + shift)
-    t_samples, tzz_samples = [], []
-    for n in range(-3, 4):
-        z_samples = list(np.broadcast_to(fn(*coords, t + n * h), (7,) + shape))
-        t_samples.append(np.copy(z_samples[3]))   # a view would keep the stack alive
-        tzz_samples.append(_stencil2(z_samples, h))
-        if n == 0:
-            u_z = _stencil1(z_samples, h)
-    # tzz_samples[3], the n = 0 entry, is u_zz
-    return _stencil1(t_samples, h), u_z, tzz_samples[3], _stencil1(tzz_samples, h)
+    for i in range(7):
+        Z = np.broadcast_to(fn(*coords, t + (i - 3) * h), (7,) + shape)
+        if i == 0:
+            dtype = np.result_type(_W1[0], Z)
+            u_t, u_z, u_zz, u_tzz, zz, tmp = (np.empty(shape, dtype) for _ in range(6))
+        _add_term(u_t, i, _W1[i], Z[3], tmp)
+        zz_i = u_zz if i == 3 else zz
+        for k in range(7):
+            _add_term(zz_i, k, _W2[k], Z[k], tmp)
+        if i == 3:
+            for k in range(7):
+                _add_term(u_z, k, _W1[k], Z[k], tmp)
+        del Z       # freed before fn makes the next stack
+        np.divide(zz_i, 180.0 * h * h, zz_i)
+        _add_term(u_tzz, i, _W1[i], zz_i, tmp)
+    for d in (u_t, u_z, u_tzz):
+        np.divide(d, 60.0 * h, d)
+    if not shape:
+        return u_t[()], u_z[()], u_zz[()], u_tzz[()]
+    return u_t, u_z, u_zz, u_tzz
 
 
 def manufactured(alpha: float, beta: float, gamma: float, exact_u: Callable,
@@ -235,7 +255,8 @@ def manufactured(alpha: float, beta: float, gamma: float, exact_u: Callable,
     two or more dimensions reach it cut to length 1 along every axis on
     which they are constant (on a mesh, X as a column and Y as a row), so
     it must not reduce over its inputs or rely on X.shape.  A result that
-    ignores a coordinate or is a scalar is broadcast to the stack.
+    ignores a coordinate or is a scalar is broadcast to the stack; results
+    are only read, so exact_u may return an array it keeps.
     """
     def source(axis):
         def f(X, Y, t, U, UZ):

@@ -33,6 +33,19 @@ def dense_gauss_solve(A, b):
     return x.reshape(b.shape)
 
 
+def multiply_line(bands, x):
+    """A @ x for the five constant diagonals of a PentaBands, by shifted slices."""
+    x = np.asarray(x, dtype=float)
+    out = bands.c_0 * x
+    if bands.n >= 2:
+        out[1:] += bands.c_m * x[:-1]
+        out[:-1] += bands.c_p * x[1:]
+    if bands.n >= 3:
+        out[2:] += bands.c_mm * x[:-2]
+        out[:-2] += bands.c_pp * x[2:]
+    return out
+
+
 def dense_banded(coeffs, n):
     """Dense matrix from five constant diagonals, offsets -2..+2."""
     A = np.zeros((n, n))

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from sobrlw import (ConfigurationError, PentaBands, SingularSystemError,
-                    TensorLineSolver, factor, make_grid, multiply_line, penta,
-                    solve_line, time_step_rule)
+                    TensorLineSolver, factor, make_grid, penta, solve_line,
+                    time_step_rule)
 from sobrlw.penta import stencil_coefficients
 
-from _oracles import dense_banded, dense_gauss_solve, loop_solve_line
+from _oracles import (dense_banded, dense_gauss_solve, loop_solve_line,
+                      multiply_line)
 
 
 def random_dominant_bands(rng, n):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,17 @@ from sobrlw.problems import MANUFACTURED_PRESETS, _directional_derivatives
 
 from _oracles import (nested_dt, nested_dtxx, nested_dtyy, nested_dx,
                       nested_dxx, nested_dy, nested_dyy)
+
+
+def _assert_same_bits(got, want):
+    """got is want bit for bit, of the same type, dtype and shape.
+
+    np.array_equal takes -0.0 for +0.0, so the bytes are compared.
+    """
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_example1_exact_values():
@@ -161,6 +174,13 @@ def _phase_wave(X, Y, t):
     return np.sin(np.pi * (X - t) + 2.1) * np.sin(np.pi * Y)
 
 
+def _signed_zeros(X, Y, t):
+    """Zero everywhere, its sign flipping from one difference sample to the
+    next: the weighted terms of a sum can then all be -0.0, whose sum()
+    (from 0) is +0.0."""
+    return 0.0 * np.sin(np.pi * (X + Y - t) / 1e-2 + 0.5)
+
+
 _SQUARE = make_grid(0.0, 1.0, 0.0, 1.0, 64).mesh()
 _RECT = make_grid(0.0, 1.0, 0.0, 0.6, 16).mesh()
 _POINTS = (np.linspace(0.1, 0.9, 5), np.linspace(0.2, 0.5, 5))
@@ -173,13 +193,16 @@ _POINTS = (np.linspace(0.1, 0.9, 5), np.linspace(0.2, 0.5, 5))
     ((1.0, 0.3, 0.7), MANUFACTURED_PRESETS["poly"], 0.5, 0.5, 0.0),
     ((0.7, 0.8, 0.6), _phase_wave, *_SQUARE, 0.01),
     ((0.7, 0.8, 0.6), _phase_wave, 0.3, 0.8, 0.45),
+    ((0.7, 0.8, 0.6), _signed_zeros, *_RECT, 0.3),
+    ((0.7, 0.8, 0.6), _signed_zeros, 0.3, 0.8, 0.45),
 ], ids=["wave-65x65", "trig-rect", "poly-points", "poly-scalar",
-        "phase-wave-65x65", "phase-wave-scalar"])
+        "phase-wave-65x65", "phase-wave-scalar", "signed-zeros-rect",
+        "signed-zeros-scalar"])
 def test_manufactured_source_is_bitwise_the_nested_differences(coeffs, fn, X, Y, t):
     p = manufactured(*coeffs, fn)
     f1, f2 = _nested_sources(*coeffs, fn, X, Y, t)
-    assert np.array_equal(p.f1(X, Y, t, None, None), f1)
-    assert np.array_equal(p.f2(X, Y, t, None, None), f2)
+    _assert_same_bits(p.f1(X, Y, t, None, None), f1)
+    _assert_same_bits(p.f2(X, Y, t, None, None), f2)
 
 
 def _nested_residuals(spec, n_points, seed):
@@ -211,7 +234,7 @@ def test_residual_check_is_bitwise_the_nested_differences(make):
     # sampling it on stacked arrays instead moves one of these 10 residuals
     spec = make()
     rc = residual_check(spec, n_points=10, seed=0)
-    assert np.array_equal(rc.residuals, _nested_residuals(spec, 10, 0))
+    _assert_same_bits(rc.residuals, _nested_residuals(spec, 10, 0))
 
 
 def test_manufactured_source_calls_reference_once_per_time_offset():
@@ -243,8 +266,7 @@ def test_manufactured_source_broadcasts_partial_references(fn):
     p = manufactured(0.9, 0.4, 0.6, fn)
     for got, want in zip((p.f1(X, Y, 0.3, None, None), p.f2(X, Y, 0.3, None, None)),
                          _nested_sources(0.9, 0.4, 0.6, fn, X, Y, 0.3)):
-        assert got.shape == X.shape
-        assert np.array_equal(got, np.broadcast_to(want, X.shape))
+        _assert_same_bits(got, np.broadcast_to(want, X.shape))
 
 
 def _sin_exp(X, Y, t):
@@ -263,9 +285,9 @@ _RECT_37 = make_grid(0.0, 1.0, 0.0, 0.6, 37).mesh()
 @pytest.mark.parametrize("X, Y", [_SQUARE, _RECT_37], ids=["square-64", "rect-37"])
 @pytest.mark.parametrize("fn", [
     MANUFACTURED_PRESETS["wave"], MANUFACTURED_PRESETS["trig"],
-    MANUFACTURED_PRESETS["poly"], _sin_exp, _sech2,
+    MANUFACTURED_PRESETS["poly"], _sin_exp, _sech2, _signed_zeros,
     lambda X, Y, t: np.cos(X) * (1.0 + t),      # ignores y
-], ids=["wave", "trig", "poly", "sin-exp", "sech2", "no-y"])
+], ids=["wave", "trig", "poly", "sin-exp", "sech2", "signed-zeros", "no-y"])
 def test_directional_derivatives_are_bitwise_the_full_mesh_differences(fn, X, Y):
     # the reference sees the mesh cut to a column and a row; every value
     # must still be the one the full mesh gives, sample for sample
@@ -273,8 +295,37 @@ def test_directional_derivatives_are_bitwise_the_full_mesh_differences(fn, X, Y)
         got = _directional_derivatives(fn, X, Y, 0.3, axis)
         for d, nested in zip(got, _NESTED[axis]):
             want = np.broadcast_to(nested(fn, X, Y, 0.3), X.shape)
-            assert d.shape == X.shape
-            assert np.array_equal(d, want), (axis, nested.__name__)
+            _assert_same_bits(d, want)
+
+
+@pytest.mark.parametrize("X, Y", [_POINTS, (0.3, 0.8)], ids=["points", "scalars"])
+@pytest.mark.parametrize("fn", [MANUFACTURED_PRESETS["wave"], _signed_zeros],
+                         ids=["wave", "signed-zeros"])
+def test_directional_derivatives_of_points_and_scalars_keep_their_type(fn, X, Y):
+    # numpy scalars for scalar coordinates, as the nested differences give
+    for axis in (0, 1):
+        got = _directional_derivatives(fn, X, Y, 0.3, axis)
+        for d, nested in zip(got, _NESTED[axis]):
+            _assert_same_bits(d, nested(fn, X, Y, 0.3))
+
+
+def test_directional_derivatives_hold_one_reference_stack_at_a_time():
+    # M = 128: a 125^2 interior, each (7, 125, 125) reference stack 875 KB;
+    # the bound is one stack plus 8 interior planes (tracemalloc counts
+    # numpy's buffers, so the peak is the same on every run)
+    grid = make_grid(0.0, 1.0, 0.0, 1.0, 128)
+    s = grid.interior
+    X, Y = (C[s, s] for C in grid.mesh())
+    fn = MANUFACTURED_PRESETS["wave"]
+    for axis in (0, 1):
+        _directional_derivatives(fn, X, Y, 0.3, axis)
+        tracemalloc.start()
+        try:
+            _directional_derivatives(fn, X, Y, 0.3, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (7 + 8) * X.nbytes, (axis, peak / X.nbytes)
 
 
 def _recording(shapes):
@@ -302,8 +353,7 @@ def test_non_constant_coordinates_are_passed_at_full_shape():
         got = _directional_derivatives(_recording(shapes), Xc, Y, 0.4, 1)
         assert shapes == [(x_shape, (7, 1, 38))] * 7
         for d, nested in zip(got, _NESTED[1]):
-            want = nested(MANUFACTURED_PRESETS["wave"], Xc, Y, 0.4)
-            assert np.array_equal(d, want)
+            _assert_same_bits(d, nested(MANUFACTURED_PRESETS["wave"], Xc, Y, 0.4))
 
 
 @pytest.mark.parametrize("X, Y", [_POINTS, (0.3, 0.8)], ids=["points", "scalars"])

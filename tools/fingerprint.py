@@ -47,6 +47,7 @@ CONFIGURATIONS = (
     *(("example1", example1, M, {}, None) for M in (4, 8, 16, 32, 64)),
     ("example1 split", example1, 64, {"stepper": "split"}, None),
     ("manufactured:wave T=0.125", lambda: get_problem("manufactured:wave"), 64, {}, 0.125),
+    ("manufactured:poly", lambda: get_problem("manufactured:poly"), 16, {}, None),
     *((f"trig-rect {s}", _trig_rect, M, {"stepper": s}, None)
       for s in ("coupled", "split") for M in (4, 5, 6, 7, 16)),
     ("trig-rect leapfrog_alpha=off", _trig_rect, 16, {"leapfrog_alpha": "off"}, None),
