@@ -5,7 +5,7 @@ leapfrog/trapezoidal time stepping, pentadiagonal line solves, and a
 benchmark harness for convergence studies and discrete-identity checks.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .errors import (BlowUpError, ConfigurationError, FrameError,
                      GridMismatchError, NumericalError, PicardError,

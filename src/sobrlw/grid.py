@@ -107,40 +107,25 @@ class TimeGrid:
         return level * self.k
 
 
-def _frozen(v: np.ndarray) -> bool:
-    """Whether v is C-ordered and read-only down to the array owning its memory."""
-    if not v.flags.c_contiguous:
-        return False
-    while isinstance(v, np.ndarray):
-        if v.flags.writeable:
-            return False
-        v = v.base
-    return v is None
-
-
 @dataclass(frozen=True)
 class Field:
     """Nodal scalar values on a Grid2D; values[i, j] lives at (x_i, y_j).
 
-    values is a read-only C-ordered copy of the input, or the input itself
-    when that is C-ordered and read-only down to the array owning its
-    memory (say, a row of a frozen stack of fields).
+    values is a read-only C-ordered copy of the input.
     """
 
     grid: Grid2D
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float, order="C")
         m = self.grid.M + 1
         if v.shape != (m, m):
             raise ConfigurationError(
                 f"field shape {v.shape} does not match grid ({m}, {m})")
         if not np.isfinite(v).all():
             raise ConfigurationError("field contains non-finite values")
-        if not _frozen(v):
-            v = v.copy()
-            v.flags.writeable = False
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property

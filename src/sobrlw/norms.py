@@ -44,23 +44,12 @@ def l2_norm(field: Field) -> float:
 
 
 def _stack(field: Field, *more: Field) -> np.ndarray:
-    """Values of fields on one grid along a new leading axis (the stack).
-
-    Fields on the rows of one C-ordered stack, in order (Field keeps the
-    rows of a frozen stack without a copy), are given that stack itself.
-    """
+    """Values of fields on one grid along a new leading axis (the stack)."""
     for other in more:
         field.same_grid(other)
     if not more:
         return field.values[None]
-    rows = [f.values for f in (field, *more)]
-    V = rows[0].base
-    if (isinstance(V, np.ndarray) and V.flags.c_contiguous
-            and V.shape == (len(rows),) + rows[0].shape):
-        start, step = V.ctypes.data, V.strides[0]
-        if all(r.base is V and r.ctypes.data == start + i * step for i, r in enumerate(rows)):
-            return V
-    return np.array(rows)
+    return np.array([f.values for f in (field, *more)])
 
 
 def _interior_block(V: np.ndarray, grid) -> np.ndarray:
@@ -114,6 +103,22 @@ class NormReport:
     second_y_sq: float
 
 
+def _h2_reports(V: np.ndarray, grid, alpha: float) -> tuple[NormReport, ...]:
+    """The NormReport of each field of the C-ordered stack V on grid, in order.
+
+    Each block of the table is formed once over the whole stack and reduced
+    with one sum; each report is bit for bit the one-field report.
+    """
+    l2 = _sq_sums(_interior_block(V, grid), grid)
+    gx, cx = _axis_sq_sums(V, grid, Axis.X)
+    gy, cy = _axis_sq_sums(V, grid, Axis.Y)
+    wx, wy = grid.hx ** 2 / 12.0, grid.hy ** 2 / 12.0
+    return tuple(
+        NormReport(l2=math.sqrt(l2_sq), h2=math.sqrt(l2_sq + alpha * (hx + hy + wx * sx + wy * sy)),
+                   l2_sq=l2_sq, half_x_sq=hx, half_y_sq=hy, second_x_sq=sx, second_y_sq=sy)
+        for l2_sq, hx, hy, sx, sy in zip(l2, gx, gy, cx, cy))
+
+
 def h2_norm(field: Field, alpha: float, *more: Field) -> NormReport | tuple[NormReport, ...]:
     """Weighted H2 norm:
 
@@ -122,23 +127,12 @@ def h2_norm(field: Field, alpha: float, *more: Field) -> NormReport | tuple[Norm
 
     h2_norm(field, alpha) returns the NormReport of field;
     h2_norm(field, alpha, *more) returns a tuple with one NormReport per
-    field, in order, for fields on one grid.  The stacked form forms each
-    block of the table once over the values of all fields and reduces it
-    with one sum; each report is bit for bit the one-field report.  Fields
-    on the rows of one frozen stack, in order, are read from that stack
-    without a copy.
+    field, in order, for fields on one grid, from one pass of the stacked
+    kernel over a copy of their values.
     """
     if alpha <= 0:
         raise ConfigurationError(f"alpha must be positive, got {alpha}")
-    V, g = _stack(field, *more), field.grid
-    l2 = _sq_sums(_interior_block(V, g), g)
-    gx, cx = _axis_sq_sums(V, g, Axis.X)
-    gy, cy = _axis_sq_sums(V, g, Axis.Y)
-    wx, wy = g.hx ** 2 / 12.0, g.hy ** 2 / 12.0
-    reports = tuple(
-        NormReport(l2=math.sqrt(l2_sq), h2=math.sqrt(l2_sq + alpha * (hx + hy + wx * sx + wy * sy)),
-                   l2_sq=l2_sq, half_x_sq=hx, half_y_sq=hy, second_x_sq=sx, second_y_sq=sy)
-        for l2_sq, hx, hy, sx, sy in zip(l2, gx, gy, cx, cy))
+    reports = _h2_reports(_stack(field, *more), field.grid, alpha)
     return reports if more else reports[0]
 
 

@@ -28,11 +28,11 @@ _DIFF_STEP = 1e-2   # step for the high-order finite differences below
 class ProblemSpec:
     """A complete initial-boundary value problem for the model equation.
 
-    exact, g, f1 and f2 must be elementwise in their array arguments.  The
-    steppers call f1 and f2 on the interior block {2..M-2}^2 only (X, Y, U
-    and the wide first derivative all interior-shaped), and exact and g on
-    the open coordinates of the grid (X a column, Y a row), broadcasting
-    the result to the mesh.
+    exact, g, f1 and f2 must be elementwise in their array arguments, and
+    the steppers call all four on open coordinates (X a column, Y a row),
+    broadcasting the result.  exact and g get those of the whole grid; f1
+    and f2 those of the interior {2..M-2}^2, with U and the wide first
+    derivative as interior blocks.
     """
 
     name: str
@@ -174,38 +174,15 @@ def _add_term(acc, k, w, s, tmp):
         np.add(acc, np.multiply(w, s, tmp), acc)
 
 
-def _open(A):
-    """A cut to length 1 along every axis on which it is constant.
-
-    On a meshgrid X becomes a column and Y a row, so an elementwise function
-    of them evaluates each distinct coordinate once.  Constancy is tested on
-    the bits, so the kept entries are the very floats of A (signed zeros and
-    NaNs included); only float64 arrays are cut, and the cut is returned
-    C-contiguous like the mesh it comes from.  Inputs with fewer than two
-    dimensions are returned as they are: numpy rounds a scalar ** differently
-    from an array **.
-    """
-    if np.ndim(A) < 2:
-        return A
-    A = np.asarray(A)
-    if A.dtype != np.float64:
-        return A
-    for axis in range(A.ndim):
-        first = A[(slice(None),) * axis + (slice(0, 1),)]
-        if (A.view(np.uint64) == first.view(np.uint64)).all():
-            A = first
-    return np.ascontiguousarray(A)
-
-
 def _directional_derivatives(fn, X, Y, t, axis):
     """u_t, u_z, u_zz and u_tzz of fn for z = x (axis 0) or y (axis 1).
 
     Sixth-order central differences with step _DIFF_STEP, u_tzz nested as
     d/dt of d2/dz2, over 49 samples; each time offset t + n*h takes all seven
     z offsets in one call of fn on a stack of coordinates, so the four
-    derivatives cost 7 calls of fn.  The coordinates are first cut to
-    length 1 along their constant axes (_open) and fn's result is broadcast
-    back to the full stack.
+    derivatives cost 7 calls of fn.  fn gets the coordinates as given, the
+    shifted one stacked on a new first axis, and its result is broadcast to
+    that stack; on open coordinates it evaluates each coordinate once.
 
     One pass over the time offsets holds one stack at a time: the u_zz of
     each offset and its middle sample go into the u_tzz and u_t sums as it
@@ -214,7 +191,6 @@ def _directional_derivatives(fn, X, Y, t, axis):
     """
     h = _DIFF_STEP
     shape = np.broadcast_shapes(np.shape(X), np.shape(Y))
-    X, Y = _open(X), _open(Y)
     shift = (np.arange(-3, 4) * h).reshape((7,) + (1,) * len(shape))
     coords = (X + shift, Y) if axis == 0 else (X, Y + shift)
     for i in range(7):
@@ -251,12 +227,11 @@ def manufactured(alpha: float, beta: float, gamma: float, exact_u: Callable,
 
     exact_u(X, Y, t) must be elementwise in X and Y and broadcast over a
     leading axis: the sources call it with a scalar t and a stack of seven
-    shifted copies of X (or Y) on a new first axis.  Coordinate arrays of
-    two or more dimensions reach it cut to length 1 along every axis on
-    which they are constant (on a mesh, X as a column and Y as a row), so
-    it must not reduce over its inputs or rely on X.shape.  A result that
-    ignores a coordinate or is a scalar is broadcast to the stack; results
-    are only read, so exact_u may return an array it keeps.
+    shifted copies of X (or Y) on a new first axis.  The steppers pass open
+    coordinates (X a column, Y a row; see ProblemSpec), so it must not
+    reduce over its inputs or rely on X.shape.  A result that ignores a
+    coordinate or is a scalar is broadcast to the stack; results are only
+    read, so exact_u may return an array it keeps.
     """
     def source(axis):
         def f(X, Y, t, U, UZ):

@@ -23,7 +23,7 @@ def tool():
 def test_fingerprints_repeat_and_a_changed_one_exits_1(tool, tmp_path, capsys):
     assert tool.main(["--M", "8"]) == 0
     first = json.loads(capsys.readouterr().out)
-    assert len(first) == 15 and all(name.endswith(" M=8") for name in first)
+    assert len(first) == 16 and all(name.endswith(" M=8") for name in first)
     old = tmp_path / "old.json"
     old.write_text(json.dumps(first))
     assert tool.main(["--M", "8", "--against", str(old)]) == 0

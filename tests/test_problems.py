@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sobrlw import (ConfigurationError, ProblemSpec, example1, example2,
-                    example3, get_problem, manufactured, residual_check)
+                    example3, get_problem, manufactured, residual_check, run)
 from sobrlw.grid import make_grid
 from sobrlw.problems import MANUFACTURED_PRESETS, _directional_derivatives
 
@@ -313,9 +313,11 @@ def test_directional_derivatives_hold_one_reference_stack_at_a_time():
     # M = 128: a 125^2 interior, each (7, 125, 125) reference stack 875 KB;
     # the bound is one stack plus 8 interior planes (tracemalloc counts
     # numpy's buffers, so the peak is the same on every run)
+    # the open interior coordinates that the steppers pass
     grid = make_grid(0.0, 1.0, 0.0, 1.0, 128)
-    s = grid.interior
-    X, Y = (C[s, s] for C in grid.mesh())
+    s, (X, Y) = grid.interior, grid.open_mesh()
+    X, Y = X[s], Y[:, s]
+    plane = grid.n_interior ** 2 * X.itemsize
     fn = MANUFACTURED_PRESETS["wave"]
     for axis in (0, 1):
         _directional_derivatives(fn, X, Y, 0.3, axis)
@@ -325,7 +327,7 @@ def test_directional_derivatives_hold_one_reference_stack_at_a_time():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (7 + 8) * X.nbytes, (axis, peak / X.nbytes)
+        assert peak <= (7 + 8) * plane, (axis, peak / plane)
 
 
 def _recording(shapes):
@@ -336,22 +338,27 @@ def _recording(shapes):
 
 
 def test_reference_sees_open_coordinates_on_the_mesh():
-    X, Y = _SQUARE
-    for axis, want in ((0, ((7, 65, 1), (1, 65))), (1, ((65, 1), (7, 1, 65)))):
-        shapes = []
-        _directional_derivatives(_recording(shapes), X, Y, 0.25, axis)
-        assert shapes == [want] * 7
+    # a run hands the sources the open interior coordinates, and the
+    # differencing stacks the shifted one on a new first axis
+    shapes, n = [], 7
+    p = manufactured(1.0, 0.0, 1.0, _recording(shapes), T=0.05)
+    assert not run(p, make_grid(0.0, 1.0, 0.0, 1.0, n + 3)).failed
+    stacked = [pair for pair in shapes if 3 in map(len, pair)]
+    along_x, along_y = ((7, n, 1), (1, n)), ((n, 1), (7, 1, n))
+    assert stacked.count(along_x) == stacked.count(along_y) > 0
+    assert set(stacked) == {along_x, along_y}
 
 
 def test_non_constant_coordinates_are_passed_at_full_shape():
+    # coordinates reach the reference at their own shape, cut or not
     X, Y = _RECT_37
     jittered = X + np.random.default_rng(5).uniform(-1e-3, 1e-3, X.shape)
     signed = X.copy()
     signed[0, 1::2] = -0.0      # the x = 0 row: constant in value, not in bits
-    for Xc, x_shape in ((jittered, (38, 38)), (signed, (38, 38)), (X, (38, 1))):
+    for Xc in (jittered, signed, X):
         shapes = []
         got = _directional_derivatives(_recording(shapes), Xc, Y, 0.4, 1)
-        assert shapes == [(x_shape, (7, 1, 38))] * 7
+        assert shapes == [((38, 38), (7, 38, 38))] * 7
         for d, nested in zip(got, _NESTED[1]):
             _assert_same_bits(d, nested(MANUFACTURED_PRESETS["wave"], Xc, Y, 0.4))
 

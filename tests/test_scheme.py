@@ -185,7 +185,7 @@ def test_frame_strips_are_bitwise_the_full_stencil_sums(M, L4, cfg, coeffs):
 
 @pytest.mark.parametrize("cfg", [CFG_COUPLED, CFG_SPLIT], ids=["coupled", "split"])
 def test_sources_receive_interior_blocks(cfg):
-    # f1 and f2 are read on the interior only, so they are handed the
+    # f1 and f2 are read on the interior only, so they are handed the open
     # interior coordinates, the interior of U and of its wide derivative
     p, seen = example3(), []
 
@@ -198,11 +198,12 @@ def test_sources_receive_interior_blocks(cfg):
     g = make_grid(p.L1, p.L2, p.L3, p.L4, 9)
     rec = run(replace(p, f1=recording(p.f1), f2=recording(p.f2)), g, cfg)
     assert not rec.failed and seen
-    X, Y = g.mesh()
-    s = g.interior
-    for args in seen:
-        assert all(np.shape(a) == (g.n_interior, g.n_interior) for a in args)
-        assert np.array_equal(args[0], X[s, s]) and np.array_equal(args[1], Y[s, s])
+    X, Y = g.open_mesh()
+    s, n = g.interior, g.n_interior
+    for X_, Y_, U, UZ in seen:
+        assert np.shape(X_) == (n, 1) and X_.tobytes() == X[s].tobytes()
+        assert np.shape(Y_) == (1, n) and Y_.tobytes() == Y[:, s].tobytes()
+        assert np.shape(U) == np.shape(UZ) == (n, n)
 
 
 # --------------------------------------------------------------------------
@@ -302,13 +303,14 @@ def test_observed_series_are_bitwise_the_per_field_norms(make, cfg):
 def test_a_non_finite_reference_at_an_observed_level_is_a_configuration_error():
     # NaN at one interior node from t = 0.3 on: the boundary fill never reads
     # that node, so only the observation sees it, and it must not turn into
-    # NaN norms
+    # NaN norms; the error names the first level observed from then on
+    # (k = 1/16 at M = 8)
     base = example1()
 
     def exact(X, Y, t):
         return np.where((X == 0.5) & (Y == 0.5) & (t >= 0.3), np.nan, base.exact(X, Y, t))
 
-    with pytest.raises(ConfigurationError, match="non-finite"):
+    with pytest.raises(ConfigurationError, match=r"non-finite .*t=0\.3125$"):
         run(replace(base, exact=exact), make_grid(0, 1, 0, 1, 8))
 
 

@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -62,6 +63,9 @@ CONFIGURATIONS = (
     ("example1 split paper_copy", example1, 16,
      {"stepper": "split", "boundary_mode": "paper_copy"}, None),
     ("example1 rhs_sign=paper", example1, 16, {"rhs_sign": "paper"}, None),
+    # no reference: the per-level norms are of U alone
+    ("example1 no reference paper_copy", lambda: replace(example1(), exact=None), 16,
+     {"boundary_mode": "paper_copy"}, None),
 )
 
 
