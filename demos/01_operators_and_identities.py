@@ -39,7 +39,7 @@ print("second_diff(x^2)   =", second_diff(quad, Axis.X).values[3, 3])
 for M in (8, 16, 32):
     g = make_grid(0, 1, 0, 1, M)
     u = sample(g, lambda X, Y, t: np.sin(np.pi * X) * np.sin(np.pi * Y))
-    X, Y = g.mesh()
+    X, Y = g.open_mesh()
     err = np.abs(wide_second(u, Axis.X).values
                  + np.pi ** 2 * np.sin(np.pi * X) * np.sin(np.pi * Y))
     mask = (X >= 0.25) & (X <= 0.75) & (Y >= 0.25) & (Y <= 0.75)

@@ -35,7 +35,7 @@ print(f"implicit-solve iterations per step: "
 t_mid, fld = record.snapshots[0.5]
 slice_path = os.path.join(here, "single_solve_slice.csv")
 svg_path = os.path.join(here, "single_solve_field.svg")
-emit_solution_csv(record, problem, t_mid, fld, slice_path)
+emit_solution_csv(problem, t_mid, fld, slice_path)
 emit_svg(record.final, svg_path)
 print(f"\nwrote {slice_path}")
 print(f"wrote {svg_path}")

@@ -208,7 +208,7 @@ def _cmd_solve(opts: dict) -> int:
         t_req = dump_times[0]
         if t_req in rec.snapshots:
             t_actual, fld = rec.snapshots[t_req]
-            emit_solution_csv(rec, problem, t_actual, fld, dump[1])
+            emit_solution_csv(problem, t_actual, fld, dump[1])
             outputs.append(dump[1])
         else:
             print(f"no snapshot captured at t={t_req}", file=sys.stderr)

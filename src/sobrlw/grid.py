@@ -52,25 +52,12 @@ class Grid2D:
     def ys(self) -> np.ndarray:
         return self.L3 + np.arange(self.M + 1) * self.hy
 
-    def mesh(self):
-        """Coordinate arrays (X, Y), both (M+1) x (M+1), indexed [i, j].
-
-        Built once per grid and shared by every caller, so both are read-only.
-        """
-        return self._mesh
-
-    @cached_property
-    def _mesh(self):
-        X, Y = np.meshgrid(self.xs(), self.ys(), indexing="ij")
-        X.flags.writeable = Y.flags.writeable = False
-        return X, Y
-
     def open_mesh(self):
         """Coordinates as a column X, (M+1) x 1, and a row Y, 1 x (M+1).
 
         An elementwise function of them broadcasts to its values on the
         mesh, each coordinate computed once.  Built once per grid and
-        read-only, like mesh().
+        read-only.
         """
         return self._open_mesh
 
@@ -79,6 +66,17 @@ class Grid2D:
         X, Y = self.xs()[:, None], self.ys()[None, :]
         X.flags.writeable = Y.flags.writeable = False
         return X, Y
+
+    def evaluate(self, fn: Callable, t: float) -> np.ndarray:
+        """fn(X, Y, t) on the open coordinates, as (M+1) x (M+1) values.
+
+        fn must be elementwise in X and Y.  A result of that shape is
+        returned as is; any other (a scalar, or one that ignores a
+        coordinate) is broadcast to it, read-only.
+        """
+        values = np.asarray(fn(*self.open_mesh(), t), dtype=float)
+        shape = (self.M + 1, self.M + 1)
+        return values if values.shape == shape else np.broadcast_to(values, shape)
 
     @property
     def interior(self) -> slice:
@@ -157,15 +155,13 @@ def make_grid(L1: float, L2: float, L3: float, L4: float, M: int) -> Grid2D:
 
 
 def sample(grid: Grid2D, phi: Callable, t: float = 0.0) -> Field:
-    """Evaluate phi(x, y, t) at every node.
+    """Evaluate phi(x, y, t) at every node, through Grid2D.evaluate.
 
-    phi must accept numpy coordinate arrays (all built-in problems do).
-    Non-finite results are reported with the offending node index.
+    phi must be elementwise in numpy coordinate arrays (all built-in
+    problems are).  Non-finite results are reported with the offending
+    node index.
     """
-    X, Y = grid.mesh()
-    vals = np.asarray(phi(X, Y, t), dtype=float)
-    if vals.shape != X.shape:
-        vals = np.broadcast_to(vals, X.shape).copy()
+    vals = grid.evaluate(phi, t)
     bad = ~np.isfinite(vals)
     if bad.any():
         i, j = np.argwhere(bad)[0]

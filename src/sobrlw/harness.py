@@ -19,7 +19,7 @@ from .errors import ConfigurationError
 from .grid import Field, make_grid, sample
 from .norms import inner, is_frame_vanishing, l2_norm, sbp_residuals
 from .problems import ProblemSpec
-from .scheme import SchemeConfig, SolutionRecord, run
+from .scheme import SchemeConfig, run
 from .stencils import Axis, wide_first_values, wide_second_values
 
 
@@ -169,7 +169,7 @@ def _consistency_orders(sizes=(8, 16, 32)):
         g = make_grid(0, 1, 0, 1, M)
         f = sample(g, lambda X, Y, t: np.sin(np.pi * X) * np.sin(np.pi * Y))
         approx = op(f.values, g.hx, Axis.X)
-        X, Y = g.mesh()
+        X, Y = g.open_mesh()
         mask = (X >= lo - 1e-12) & (X <= hi + 1e-12) & \
                (Y >= lo - 1e-12) & (Y <= hi + 1e-12)
         return float(np.abs(approx - dtarget(X, Y))[mask].max())
@@ -248,20 +248,18 @@ def emit_csv(rows: list, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def emit_solution_csv(record: SolutionRecord, problem: ProblemSpec,
-                      t: float, fld: Field, path: str) -> None:
+def emit_solution_csv(problem: ProblemSpec, t: float, fld: Field, path: str) -> None:
     """Field slice at one time level: x,y,u,U,e per node."""
-    g = fld.grid
-    X, Y = g.mesh()
-    have_exact = problem.exact is not None
-    E = np.asarray(problem.exact(X, Y, t), float) if have_exact else None
+    g, V = fld.grid, fld.values
+    xs, ys = g.xs(), g.ys()
+    E = g.evaluate(problem.exact, t) if problem.exact is not None else None
     lines = ["x,y,u,U,e"]
     for i in range(g.M + 1):
         for j in range(g.M + 1):
-            u = E[i, j] if have_exact else None
-            e = (E[i, j] - fld.values[i, j]) if have_exact else None
-            lines.append(",".join([_fmt(X[i, j]), _fmt(Y[i, j]), _fmt(u),
-                                   _fmt(fld.values[i, j]), _fmt(e)]))
+            u = None if E is None else E[i, j]
+            e = None if E is None else E[i, j] - V[i, j]
+            lines.append(",".join([_fmt(xs[i]), _fmt(ys[j]), _fmt(u),
+                                   _fmt(V[i, j]), _fmt(e)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -347,10 +345,7 @@ def make_manifest(command: str, problem: str, levels, cfg: SchemeConfig,
     from . import __version__
     return RunManifest(
         command=command, problem=problem, levels=list(levels),
-        config={"stepper": cfg.stepper, "rhs_sign": cfg.rhs_sign,
-                "leapfrog_alpha": cfg.leapfrog_alpha,
-                "boundary_mode": cfg.boundary_mode,
-                "k_rule": cfg.k_rule},
+        config=asdict(cfg),
         T=T, package_version=__version__,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),
         outputs=list(outputs))

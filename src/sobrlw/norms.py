@@ -43,15 +43,6 @@ def l2_norm(field: Field) -> float:
     return float(np.sqrt(_weight(field.grid) * np.sum(field.interior ** 2)))
 
 
-def _stack(field: Field, *more: Field) -> np.ndarray:
-    """Values of fields on one grid along a new leading axis (the stack)."""
-    for other in more:
-        field.same_grid(other)
-    if not more:
-        return field.values[None]
-    return np.array([f.values for f in (field, *more)])
-
-
 def _interior_block(V: np.ndarray, grid) -> np.ndarray:
     """Values at i, j = 2..M-2 of each field of the stack V, as a new array."""
     s = grid.interior
@@ -119,21 +110,15 @@ def _h2_reports(V: np.ndarray, grid, alpha: float) -> tuple[NormReport, ...]:
         for l2_sq, hx, hy, sx, sy in zip(l2, gx, gy, cx, cy))
 
 
-def h2_norm(field: Field, alpha: float, *more: Field) -> NormReport | tuple[NormReport, ...]:
+def h2_norm(field: Field, alpha: float) -> NormReport:
     """Weighted H2 norm:
 
     h2^2 = l2^2 + alpha*[ |half_x|^2 + |half_y|^2
                           + (hx^2/12)|second_x|^2 + (hy^2/12)|second_y|^2 ]
-
-    h2_norm(field, alpha) returns the NormReport of field;
-    h2_norm(field, alpha, *more) returns a tuple with one NormReport per
-    field, in order, for fields on one grid, from one pass of the stacked
-    kernel over a copy of their values.
     """
     if alpha <= 0:
         raise ConfigurationError(f"alpha must be positive, got {alpha}")
-    reports = _h2_reports(_stack(field, *more), field.grid, alpha)
-    return reports if more else reports[0]
+    return _h2_reports(field.values[None], field.grid, alpha)[0]
 
 
 def directional_energy(field: Field, axis: Axis, alpha: float) -> float:
@@ -163,7 +148,7 @@ def inner(u: Field, v: Field, variant: str = "plain") -> float:
     axis = Axis.X if variant.endswith("x") else Axis.Y
     if variant.startswith(("half", "second")):
         block = _half_block if variant.startswith("half") else _second_block
-        bu, bv = block(_stack(u, v), g, axis)
+        bu, bv = block(np.array([u.values, v.values]), g, axis)
         return float(w * np.sum(bu * bv))
     op = wide_first_values if variant.startswith("wide1") else wide_second_values
     s = g.interior

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import make_grid, sample
+from .grid import make_grid
 
 _DIFF_STEP = 1e-2   # step for the high-order finite differences below
 
@@ -28,11 +28,13 @@ _DIFF_STEP = 1e-2   # step for the high-order finite differences below
 class ProblemSpec:
     """A complete initial-boundary value problem for the model equation.
 
-    exact, g, f1 and f2 must be elementwise in their array arguments, and
-    the steppers call all four on open coordinates (X a column, Y a row),
-    broadcasting the result.  exact and g get those of the whole grid; f1
-    and f2 those of the interior {2..M-2}^2, with U and the wide first
-    derivative as interior blocks.
+    u0, exact, g, f1 and f2 must be elementwise in their array arguments.
+    Every library call of u0, exact and g is on the open coordinates of
+    the whole grid (X a column, Y a row) through Grid2D.evaluate, which
+    broadcasts the result: the initial state, the boundary fill, the
+    observed norms, the slice CSV and compatibility_mismatch.  f1 and f2
+    get the open coordinates of the interior {2..M-2}^2, with U and the
+    wide first derivative as interior blocks.
     """
 
     name: str
@@ -69,16 +71,13 @@ class ProblemSpec:
         if self.exact is None:
             return 0.0
         grid = make_grid(self.L1, self.L2, self.L3, self.L4, M)
-        X, Y = grid.mesh()
-        d0 = float(np.abs(self.u0(X, Y) - self.exact(X, Y, 0.0)).max())
-        dg = 0.0
-        for t in np.linspace(0.0, self.T, 7):
-            G = np.asarray(self.g(X, Y, t), dtype=float)
-            G = np.broadcast_to(G, X.shape)
-            E = self.exact(X, Y, t)
-            for sl in ((0, slice(None)), (-1, slice(None)),
-                       (slice(None), 0), (slice(None), -1)):
-                dg = max(dg, float(np.abs(G[sl] - E[sl]).max()))
+        u0 = grid.evaluate(lambda X, Y, t: self.u0(X, Y), 0.0)
+        d0 = float(np.abs(u0 - grid.evaluate(self.exact, 0.0)).max())
+        frame = np.ones((M + 1, M + 1), dtype=bool)
+        frame[1:M, 1:M] = False
+        dg = max(float(np.abs(grid.evaluate(self.g, t)
+                              - grid.evaluate(self.exact, t))[frame].max())
+                 for t in np.linspace(0.0, self.T, 7))
         return max(d0, dg)
 
 

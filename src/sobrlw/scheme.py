@@ -132,28 +132,21 @@ def resolve_time_grid(grid: Grid2D, cfg: SchemeConfig, T: float) -> TimeGrid:
     return make_time_grid(T, float(cfg.k_rule))
 
 
-def _on_open_mesh(fn: Callable, grid: Grid2D, t: float) -> np.ndarray:
-    """fn(X, Y, t) on the open coordinates of grid, as (M+1) x (M+1) values."""
-    values = np.asarray(fn(*grid.open_mesh(), t), dtype=float)
-    shape = (grid.M + 1, grid.M + 1)
-    return values if values.shape == shape else np.broadcast_to(values, shape)
-
-
 def fill_boundary_layers(values: np.ndarray, t: float, problem: ProblemSpec,
                          grid: Grid2D, mode: str) -> np.ndarray:
     """Return a copy with node layers {0,1,M-1,M} set for time t.
 
-    The reference (or g) is called once, on the open coordinates of the
-    grid (X a column, Y a row, see Grid2D.open_mesh), and its result is
-    broadcast to the mesh; it must be elementwise in X and Y.
+    The reference (or g) is called once, through Grid2D.evaluate (open
+    coordinates, result broadcast to the mesh); it must be elementwise in
+    X and Y.
     """
     M = grid.M
     out = np.array(values, dtype=float, copy=True)
     if mode == "exact":
         if problem.exact is not None:
-            E = _on_open_mesh(problem.exact, grid, t)
+            E = grid.evaluate(problem.exact, t)
         elif problem.g_extends:
-            E = _on_open_mesh(problem.g, grid, t)
+            E = grid.evaluate(problem.g, t)
         else:
             raise ConfigurationError(
                 "boundary_mode='exact' needs a reference solution or a g "
@@ -163,7 +156,7 @@ def fill_boundary_layers(values: np.ndarray, t: float, problem: ProblemSpec,
             out[:, l] = E[:, l]
         return out
     if mode == "paper_copy":
-        G = _on_open_mesh(problem.g, grid, t)
+        G = grid.evaluate(problem.g, t)
         out[0, :] = G[0, :]
         out[M, :] = G[M, :]
         out[1, :] = out[0, :]
@@ -532,7 +525,7 @@ def run(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig = SchemeConfig(),
         t = level_n * k
         if have_exact:
             V[0] = values
-            V[1] = _on_open_mesh(problem.exact, grid, t)
+            V[1] = grid.evaluate(problem.exact, t)
             if not np.isfinite(V[1]).all():
                 raise ConfigurationError(f"reference solution is non-finite at t={t:g}")
             np.subtract(V[1], V[0], V[2])

@@ -266,6 +266,43 @@ def mesh_fill_boundary_layers(values, t, problem, grid, mode):
     return out
 
 
+def full_mesh_solution_csv(problem, t, fld):
+    """Text of the slice CSV (x,y,u,U,e per node), with the reference called
+    on the full (M+1) x (M+1) mesh and indexed as it comes back."""
+    g = fld.grid
+    X, Y = np.meshgrid(g.xs(), g.ys(), indexing="ij")
+    fmt = lambda v: "" if v is None else f"{v:.12e}"
+    have_exact = problem.exact is not None
+    E = np.asarray(problem.exact(X, Y, t), float) if have_exact else None
+    lines = ["x,y,u,U,e"]
+    for i in range(g.M + 1):
+        for j in range(g.M + 1):
+            u = E[i, j] if have_exact else None
+            e = (E[i, j] - fld.values[i, j]) if have_exact else None
+            lines.append(",".join([fmt(X[i, j]), fmt(Y[i, j]), fmt(u),
+                                   fmt(fld.values[i, j]), fmt(e)]))
+    return "\n".join(lines) + "\n"
+
+
+def per_side_compatibility_mismatch(problem, M=16):
+    """Max |u0 - exact(.,0)| over the full mesh and |g - exact| over each of
+    the four boundary sides in turn, at seven times in [0, T]."""
+    if problem.exact is None:
+        return 0.0
+    xs = problem.L1 + np.arange(M + 1) * ((problem.L2 - problem.L1) / M)
+    ys = problem.L3 + np.arange(M + 1) * ((problem.L4 - problem.L3) / M)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    d0 = float(np.abs(problem.u0(X, Y) - problem.exact(X, Y, 0.0)).max())
+    dg = 0.0
+    for t in np.linspace(0.0, problem.T, 7):
+        G = np.broadcast_to(np.asarray(problem.g(X, Y, t), dtype=float), X.shape)
+        E = problem.exact(X, Y, t)
+        for sl in ((0, slice(None)), (-1, slice(None)),
+                   (slice(None), 0), (slice(None), -1)):
+            dg = max(dg, float(np.abs(G[sl] - E[sl]).max()))
+    return max(d0, dg)
+
+
 OBSERVED_SERIES = ("times", "l2_u", "l2_U", "l2_err", "h2_u", "h2_U", "h2_err")
 
 

@@ -237,7 +237,7 @@ def test_criterion_03_oracle_equivalence():
     start = time.perf_counter()
     M = 6
     g = make_grid(0, 1, 0, 1, M)
-    X, Y = g.mesh()
+    X, Y = np.meshgrid(g.xs(), g.ys(), indexing="ij")
     s = slice(2, M - 1)
     k = 1.0 / 8.0
     cfg_split = SchemeConfig(stepper="split")

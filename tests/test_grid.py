@@ -44,7 +44,7 @@ def test_node_coordinates_reproducible():
     assert np.all(np.diff(xs) > 0)
 
 
-def test_mesh_is_built_once_per_grid_and_read_only(monkeypatch):
+def test_run_builds_no_full_mesh(monkeypatch):
     built = []
     meshgrid = np.meshgrid
 
@@ -53,16 +53,28 @@ def test_mesh_is_built_once_per_grid_and_read_only(monkeypatch):
         return meshgrid(*args, **kwargs)
 
     monkeypatch.setattr(np, "meshgrid", counting)
-    g = make_grid(0, 1, 0, 0.5, 8)
-    X, Y = g.mesh()
-    want = meshgrid(g.xs(), g.ys(), indexing="ij")
-    assert np.array_equal(X, want[0]) and np.array_equal(Y, want[1])
-    with pytest.raises(ValueError):
-        X[0, 0] = 1.0
     g = make_grid(0, 1, 0, 1, 8)
     run(example1(), g, T=0.1)       # engine, sample, observe and every fill
-    assert len(built) == 2
-    assert g.mesh()[0] is g.mesh()[0]
+    assert built == []
+    assert not hasattr(g, "mesh")
+
+
+def test_evaluate_broadcasts_on_open_coordinates_and_keeps_a_mesh_shaped_result():
+    g = make_grid(0, 1, 0, 0.5, 8)
+    X, Y = g.open_mesh()
+    assert X.shape == (9, 1) and Y.shape == (1, 9)
+    with pytest.raises(ValueError):
+        X[0, 0] = 1.0
+    fn = lambda X, Y, t: np.sin(np.pi * X) * np.exp(Y - t)
+    got = g.evaluate(fn, 0.25)
+    assert got.shape == (9, 9)
+    assert got.tobytes() == fn(*np.meshgrid(g.xs(), g.ys(), indexing="ij"), 0.25).tobytes()
+    kept = np.zeros((9, 9))
+    assert g.evaluate(lambda X, Y, t: kept, 0.0) is kept
+    for fn in (lambda X, Y, t: 2.0, lambda X, Y, t: 2.0 + 0.0 * Y):
+        got = g.evaluate(fn, 0.0)
+        assert got.shape == (9, 9) and np.all(got == 2.0)
+        assert not got.flags.writeable
 
 
 def test_sample_zero():

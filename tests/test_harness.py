@@ -1,15 +1,19 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from sobrlw import (SchemeConfig, convergence_study, emit_csv,
-                    emit_solution_csv, emit_svg, example1, get_problem,
-                    make_grid, rate, run, verify_suite)
+                    emit_solution_csv, emit_svg, example1, example2, example3,
+                    get_problem, make_grid, manufactured, rate, run, sample,
+                    verify_suite)
 from sobrlw.cli import main
 from sobrlw.harness import make_manifest
+from sobrlw.problems import MANUFACTURED_PRESETS
 
+from _oracles import full_mesh_solution_csv, per_side_compatibility_mismatch
 from test_scheme import zero_problem
 
 
@@ -116,10 +120,61 @@ def test_emit_solution_csv(tmp_path):
     rec = run(p, g, SchemeConfig(), dump_times=[0.5])
     (t, fld), = rec.snapshots.values()
     path = tmp_path / "slice.csv"
-    emit_solution_csv(rec, p, t, fld, str(path))
+    emit_solution_csv(p, t, fld, str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,y,u,U,e"
     assert len(lines) == 1 + 7 * 7
+
+
+def _trig_rect():
+    return manufactured(0.6, 0.5, 0.7, MANUFACTURED_PRESETS["trig"],
+                        name="manufactured:trig", bounds=(0.0, 1.0, 0.0, 0.6))
+
+
+@pytest.mark.parametrize("make", [example1, example2, example3, _trig_rect],
+                         ids=["example1", "example2", "example3", "trig-rect"])
+@pytest.mark.parametrize("M", [6, 16])
+def test_solution_csv_and_compatibility_match_the_full_mesh_oracles(make, M, tmp_path):
+    p = make()
+    g = make_grid(p.L1, p.L2, p.L3, p.L4, M)
+    rec = run(p, g, T=0.25)
+    path = tmp_path / "slice.csv"
+    emit_solution_csv(p, rec.times[-1], rec.final, str(path))
+    assert path.read_bytes() == full_mesh_solution_csv(p, rec.times[-1], rec.final).encode()
+    assert p.compatibility_mismatch(M) == per_side_compatibility_mismatch(p, M)
+
+
+@pytest.mark.parametrize("bump", [lambda X, Y: np.sin(np.pi * Y) * (1.0 - X),
+                                  lambda X, Y: np.sin(np.pi * Y) * X,
+                                  lambda X, Y: np.sin(np.pi * X) * (1.0 - Y),
+                                  lambda X, Y: np.sin(np.pi * X) * Y],
+                         ids=["x=0", "x=1", "y=0", "y=1"])
+def test_compatibility_sees_a_gap_inside_each_boundary_side(bump):
+    exact = example1().exact
+    p = dataclasses.replace(example1(), g=lambda X, Y, t: exact(X, Y, t) + bump(X, Y))
+    assert p.compatibility_mismatch(8) == per_side_compatibility_mismatch(p, 8) > 0.5
+
+
+def _broadcast(ref):
+    """ref with its result broadcast to the shape of its coordinates."""
+    return lambda X, Y, t: np.broadcast_to(ref(X, Y, t), np.broadcast(X, Y).shape)
+
+
+@pytest.mark.parametrize("ref", [lambda X, Y, t: 0.0,
+                                 lambda X, Y, t: np.exp(-t) * np.sin(np.pi * X)],
+                         ids=["scalar", "ignores-y"])
+def test_readers_of_the_reference_broadcast_a_scalar_or_one_coordinate_result(ref, tmp_path):
+    p, want = (dataclasses.replace(example1(), exact=r) for r in (ref, _broadcast(ref)))
+    g = make_grid(0, 1, 0, 1, 6)
+    fld = sample(g, lambda X, Y, t: np.cos(X + 2.0 * Y))
+    for name, problem in (("got", p), ("want", want)):
+        emit_solution_csv(problem, 0.5, fld, str(tmp_path / f"{name}.csv"))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert p.compatibility_mismatch(8) == want.compatibility_mismatch(8)
+    assert p.compatibility_mismatch(8) > 0.0
+    assert want.compatibility_mismatch(8) == per_side_compatibility_mismatch(want, 8)
+    assert (sample(g, ref, 0.5).values.tobytes()
+            == sample(g, _broadcast(ref), 0.5).values.tobytes())
 
 
 def test_emit_svg_rate_chart(tmp_path):
@@ -146,6 +201,13 @@ def test_manifest_round_trips():
     assert loaded["problem"] == "example1"
     assert loaded["config"]["stepper"] == "coupled"
     assert loaded["levels"] == [2, 3]
+
+
+def test_manifest_config_holds_every_scheme_config_field():
+    cfg = SchemeConfig(stepper="split", k_rule=0.01)
+    config = make_manifest("solve", "example1", [8], cfg, 1.0, []).config
+    assert list(config) == [f.name for f in dataclasses.fields(SchemeConfig)]
+    assert config == {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
 
 
 # --------------------------------------------------------------------------

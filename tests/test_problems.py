@@ -181,8 +181,12 @@ def _signed_zeros(X, Y, t):
     return 0.0 * np.sin(np.pi * (X + Y - t) / 1e-2 + 0.5)
 
 
-_SQUARE = make_grid(0.0, 1.0, 0.0, 1.0, 64).mesh()
-_RECT = make_grid(0.0, 1.0, 0.0, 0.6, 16).mesh()
+def _full_mesh(grid):
+    return tuple(np.meshgrid(grid.xs(), grid.ys(), indexing="ij"))
+
+
+_SQUARE = _full_mesh(make_grid(0.0, 1.0, 0.0, 1.0, 64))
+_RECT = _full_mesh(make_grid(0.0, 1.0, 0.0, 0.6, 16))
 _POINTS = (np.linspace(0.1, 0.9, 5), np.linspace(0.2, 0.5, 5))
 
 
@@ -279,7 +283,7 @@ def _sech2(X, Y, t):
 
 _NESTED = {0: (nested_dt, nested_dx, nested_dxx, nested_dtxx),
            1: (nested_dt, nested_dy, nested_dyy, nested_dtyy)}
-_RECT_37 = make_grid(0.0, 1.0, 0.0, 0.6, 37).mesh()
+_RECT_37 = _full_mesh(make_grid(0.0, 1.0, 0.0, 0.6, 37))
 
 
 @pytest.mark.parametrize("X, Y", [_SQUARE, _RECT_37], ids=["square-64", "rect-37"])
@@ -416,7 +420,7 @@ def _sup_l2_of_reference(p, M=32):
     from sobrlw import Field, l2_norm, make_grid, time_step_rule
     from sobrlw.scheme import make_time_grid
     g = make_grid(p.L1, p.L2, p.L3, p.L4, M)
-    X, Y = g.mesh()
+    X, Y = np.meshgrid(g.xs(), g.ys(), indexing="ij")
     tg = make_time_grid(p.T, time_step_rule(g.hx, g.hy))
     return max(l2_norm(Field(g, np.asarray(p.exact(X, Y, n * tg.k), float)))
                for n in range(tg.N + 1))

@@ -356,7 +356,7 @@ LEAPFROG_ALPHA_CASES = with_leapfrog_alpha("seed, L4, M", _CASES, _CASE_IDS)
 
 
 def fill_frame_dense(p, grid, t):
-    X, Y = grid.mesh()
+    X, Y = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
     return np.asarray(p.exact(X, Y, t), float)
 
 
@@ -366,7 +366,7 @@ def test_split_init_half_step_matches_dense(seed, L4, M):
     p = linear_source_problem(rng)
     g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
-    X, Y = g.mesh()
+    X, Y = np.meshgrid(g.xs(), g.ys(), indexing="ij")
     U0 = sample(g, lambda X_, Y_, t_: p.u0(X_, Y_))
     got = init_half_step(U0, p, k, CFG_SPLIT)
 
@@ -391,7 +391,7 @@ def test_split_cn_y_step_matches_dense(seed, L4, M):
     g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
     t0 = 0.25
-    X, Y = g.mesh()
+    X, Y = np.meshgrid(g.xs(), g.ys(), indexing="ij")
     U_from = Field(g, np.asarray(p.exact(X, Y, t0), float))
     got = cn_y_step(U_from, t0, k, p, CFG_SPLIT)
 
@@ -415,7 +415,7 @@ def test_split_leapfrog_matches_dense(seed, L4, M, leapfrog_alpha):
     g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
     t_n = 0.5
-    X, Y = g.mesh()
+    X, Y = np.meshgrid(g.xs(), g.ys(), indexing="ij")
     U_prev = Field(g, np.asarray(p.exact(X, Y, t_n - k / 2), float))
     U_mid = Field(g, np.asarray(p.exact(X, Y, t_n), float))
     got = leapfrog_x_step(U_prev, U_mid, t_n, k, p,
@@ -441,7 +441,7 @@ def test_coupled_startup_matches_dense(seed, L4, M, leapfrog_alpha):
     p = linear_source_problem(rng)
     g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
-    X, Y = g.mesh()
+    X, Y = np.meshgrid(g.xs(), g.ys(), indexing="ij")
     U0 = sample(g, lambda X_, Y_, t_: p.u0(X_, Y_))
     got = init_half_step(U0, p, k, SchemeConfig(leapfrog_alpha=leapfrog_alpha))
 
@@ -471,7 +471,7 @@ def test_coupled_chain_step_matches_dense(seed, L4, M, leapfrog_alpha):
     g = make_grid(0, 1, 0, L4, M)
     k = 1.0 / 8.0
     t_n = 0.5
-    X, Y = g.mesh()
+    X, Y = np.meshgrid(g.xs(), g.ys(), indexing="ij")
     U_prev = Field(g, np.asarray(p.exact(X, Y, t_n - k / 2), float))
     U_mid = Field(g, np.asarray(p.exact(X, Y, t_n), float))
     state = SchemeState(n=int(round(t_n / k)), U_half=U_prev, U_int=U_mid)
@@ -507,7 +507,7 @@ def test_advance_split_equals_manual_composition():
     M = 8
     g = make_grid(0, 1, 0, 1, M)
     k = 1.0 / 16.0
-    X, Y = g.mesh()
+    X, Y = np.meshgrid(g.xs(), g.ys(), indexing="ij")
     U_prev = Field(g, np.asarray(p.exact(X, Y, 0.5 - k / 2), float))
     U_mid = Field(g, np.asarray(p.exact(X, Y, 0.5), float))
     state = SchemeState(n=8, U_half=U_prev, U_int=U_mid)
@@ -529,7 +529,7 @@ def test_init_half_step_accuracy(cfg):
     k = time_step_rule(g.hx, g.hy)
     U0 = sample(g, lambda X, Y, t: p.u0(X, Y))
     U_half = init_half_step(U0, p, k, cfg)
-    X, Y = g.mesh()
+    X, Y = np.meshgrid(g.xs(), g.ys(), indexing="ij")
     err = Field(g, np.asarray(p.exact(X, Y, k / 2), float) - U_half.values)
     assert l2_norm(err) < 0.05
 
@@ -558,7 +558,7 @@ def test_cn_x_step_is_x_direction_twin():
     p = example1()
     g = make_grid(0, 1, 0, 1, 8)
     k = 1.0 / 16.0
-    X, Y = g.mesh()
+    X, Y = np.meshgrid(g.xs(), g.ys(), indexing="ij")
     U = Field(g, np.asarray(p.exact(X, Y, 0.25), float))
     # on a symmetric problem and symmetric state, the x- and y-direction
     # trapezoid steps agree up to transposition

@@ -65,7 +65,7 @@ def test_exactness_degrees(p):
     g = make_grid(0, 1, 0, 1, 12)
     f = field_of(g, lambda X, Y: X ** p)
     s = g.interior
-    X, _ = g.mesh()
+    X, _ = np.meshgrid(g.xs(), g.ys(), indexing="ij")
     xi = X[s, s]
 
     d2w = wide_second(f, Axis.X).values[s, s]
@@ -114,7 +114,7 @@ def test_wide_operators_fourth_order():
     def max_err(M, op, target):
         g = make_grid(0, 1, 0, 1, M)
         f = field_of(g, lambda X, Y: np.sin(np.pi * X) * np.sin(np.pi * Y))
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.xs(), g.ys(), indexing="ij")
         mask = (X >= lo - 1e-12) & (X <= hi + 1e-12) & \
                (Y >= lo - 1e-12) & (Y <= hi + 1e-12)
         return np.abs(op(f).values - target(X, Y))[mask].max()
@@ -132,7 +132,7 @@ def test_second_diff_second_order():
     def max_err(M):
         g = make_grid(0, 1, 0, 1, M)
         f = field_of(g, lambda X, Y: np.sin(np.pi * X))
-        X, _ = g.mesh()
+        X, _ = np.meshgrid(g.xs(), g.ys(), indexing="ij")
         d = second_diff(f, Axis.X).values
         mask = (X >= 0.25 - 1e-12) & (X <= 0.75 + 1e-12)
         return np.abs(d + np.pi ** 2 * np.sin(np.pi * X))[mask].max()
