@@ -19,10 +19,11 @@ import sys
 
 from .errors import ConfigurationError, NumericalError
 from .grid import make_grid
-from .harness import (convergence_study, emit_csv, emit_solution_csv,
-                      emit_svg, make_manifest, verify_suite)
+from .harness import (convergence_study, emit_csv, emit_norms_csv,
+                      emit_solution_csv, emit_svg, make_manifest, verify_suite)
 from .problems import get_problem
-from .scheme import SchemeConfig, run
+from .scheme import (BOUNDARY_MODES, LEAPFROG_ALPHAS, RHS_SIGNS, STEPPERS,
+                     SchemeConfig, run)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,13 +72,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--T", type=float, help="final time (default: problem's)")
         p.add_argument("--k", default=None,
                        help="time step: 'auto' (h^(4/3) rule) or a number")
-        p.add_argument("--boundary", choices=["exact", "paper-copy"],
+        p.add_argument("--boundary",
+                       choices=[m.replace("_", "-") for m in BOUNDARY_MODES],
                        help="boundary-layer filling mode")
-        p.add_argument("--rhs-sign", choices=["derived", "paper"],
+        p.add_argument("--rhs-sign", choices=RHS_SIGNS,
                        help="sign of the trapezoid operator on the RHS")
-        p.add_argument("--leapfrog-alpha", choices=["on", "off"],
+        p.add_argument("--leapfrog-alpha", choices=LEAPFROG_ALPHAS,
                        help="carry alpha in the three-level mass operator")
-        p.add_argument("--stepper", choices=["coupled", "split"],
+        p.add_argument("--stepper", choices=STEPPERS,
                        help="coupled full-mass stepper (default) or literal "
                             "directional splitting")
         p.add_argument("--out", help="output CSV path")
@@ -135,16 +137,14 @@ def _number(kind, key: str, value):
 
 
 def _scheme_config(opts: dict) -> SchemeConfig:
-    k = opts.get("k", "auto")
-    if k != "auto":
-        k = _number(float, "k", k)
-    boundary = str(opts.get("boundary", "exact")).replace("-", "_")
-    return SchemeConfig(
-        stepper=str(opts.get("stepper", "coupled")),
-        rhs_sign=str(opts.get("rhs_sign", "derived")),
-        leapfrog_alpha=str(opts.get("leapfrog_alpha", "on")),
-        boundary_mode=boundary,
-        k_rule=k)
+    """SchemeConfig of the options given; SchemeConfig supplies the rest."""
+    given = {key: str(opts[key]) for key in ("stepper", "rhs_sign", "leapfrog_alpha")
+             if key in opts}
+    if "boundary" in opts:
+        given["boundary_mode"] = str(opts["boundary"]).replace("-", "_")
+    if opts.get("k", "auto") != "auto":
+        given["k_rule"] = _number(float, "k", opts["k"])
+    return SchemeConfig(**given)
 
 
 def _parse_levels(spec) -> list:
@@ -158,19 +158,21 @@ def _parse_levels(spec) -> list:
 
 
 def _get_problem(opts: dict):
-    name = str(opts.get("problem", "example1"))
+    """The named problem; get_problem refuses coefficients for example1-3."""
     given = {key: _number(float, key, opts[key])
              for key in ("alpha", "beta", "gamma") if key in opts}
-    if given and not name.startswith("manufactured:"):
-        get_problem(name)       # an unknown name is reported as such
-        raise ConfigurationError(
-            f"--{next(iter(given))} applies only to manufactured:<preset> "
-            f"problems; {name} fixes its own coefficients")
-    return get_problem(name, **given)
+    return get_problem(str(opts.get("problem", "example1")), **given)
 
 
 def _final_time(opts: dict, problem) -> float:
     return _number(float, "T", opts["T"]) if opts.get("T") is not None else problem.T
+
+
+def _write_manifest(opts: dict, command: str, problem, levels, cfg, T, outputs):
+    if opts.get("manifest"):
+        man = make_manifest(command, problem.name, levels, cfg, T, outputs)
+        with open(str(opts["manifest"]), "w") as fh:
+            fh.write(man.to_json() + "\n")
 
 
 def _cmd_solve(opts: dict) -> int:
@@ -195,30 +197,16 @@ def _cmd_solve(opts: dict) -> int:
         print(f"sup |u|_2 = {rec.sup_u:.6e}   sup error |e|_2 = {rec.sup_err:.6e}")
     outputs = []
     if opts.get("out"):
-        path = str(opts["out"])
-        lines = ["t,l2_u,l2_U,l2_err"]
-        for idx, t in enumerate(rec.times):
-            u = f"{rec.l2_u[idx]:.12e}" if rec.l2_u else ""
-            e = f"{rec.l2_err[idx]:.12e}" if rec.l2_err else ""
-            lines.append(f"{t:.12e},{u},{rec.l2_U[idx]:.12e},{e}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        outputs.append(path)
-    if dump:
-        t_req = dump_times[0]
-        if t_req in rec.snapshots:
-            t_actual, fld = rec.snapshots[t_req]
-            emit_solution_csv(problem, t_actual, fld, dump[1])
-            outputs.append(dump[1])
-        else:
-            print(f"no snapshot captured at t={t_req}", file=sys.stderr)
+        emit_norms_csv(rec, str(opts["out"]))
+        outputs.append(str(opts["out"]))
+    if dump:        # run() refused a time outside [0, T], so it was captured
+        t_actual, fld = rec.snapshots[dump_times[0]]
+        emit_solution_csv(problem, t_actual, fld, dump[1])
+        outputs.append(dump[1])
     if opts.get("svg"):
         emit_svg(rec.final, str(opts["svg"]))
         outputs.append(str(opts["svg"]))
-    if opts.get("manifest"):
-        man = make_manifest("solve", problem.name, [M], cfg, T, outputs)
-        with open(str(opts["manifest"]), "w") as fh:
-            fh.write(man.to_json() + "\n")
+    _write_manifest(opts, "solve", problem, [M], cfg, T, outputs)
     return EXIT_OK
 
 
@@ -244,21 +232,17 @@ def _cmd_convergence(opts: dict) -> int:
     if opts.get("svg"):
         emit_svg(rows, str(opts["svg"]))
         outputs.append(str(opts["svg"]))
-    if opts.get("manifest"):
-        man = make_manifest("convergence", problem.name, levels, cfg, T, outputs)
-        with open(str(opts["manifest"]), "w") as fh:
-            fh.write(man.to_json() + "\n")
+    _write_manifest(opts, "convergence", problem, levels, cfg, T, outputs)
     return EXIT_OK
 
 
 def _cmd_verify(opts: dict) -> int:
-    M = _number(int, "M", opts.get("M", 12))
-    seed = _number(int, "seed", opts.get("seed", 0))
-    report = verify_suite(M=M, seed=seed)
+    given = {key: _number(int, key, opts[key]) for key in ("M", "seed") if key in opts}
+    report = verify_suite(**given)
     for line in report.lines():
         print(line)
     print(f"verify: {'all identities hold' if report.all_passed else 'FAILURES'} "
-          f"(M={M}, seed={seed})")
+          f"(M={report.M}, seed={report.seed})")
     return EXIT_OK if report.all_passed else EXIT_NUMERICAL
 
 

@@ -80,26 +80,16 @@ def convergence_study(problem: ProblemSpec, levels: Iterable[int],
     for l in levels:
         M = 2 ** l
         h = (problem.L2 - problem.L1) / M
-        if M < 4:
-            rows.append(ConvergenceRow(
-                level=l, h=h, k=None, norm_u=None, norm_U=None, error=None,
-                rate=None, failed=True,
-                note=f"M={M} leaves no interior nodes (need M >= 4)"))
-            prev_error = None
-            continue
-        grid = make_grid(problem.L1, problem.L2, problem.L3, problem.L4, M)
         try:
+            grid = make_grid(problem.L1, problem.L2, problem.L3, problem.L4, M)
             rec = run(problem, grid, cfg, T=T)
+            failed, k, note = rec.failed, rec.k, rec.failure
         except ConfigurationError as exc:
-            rows.append(ConvergenceRow(level=l, h=h, k=None, norm_u=None,
+            failed, k, note = True, None, str(exc)
+        if failed:
+            rows.append(ConvergenceRow(level=l, h=h, k=k, norm_u=None,
                                        norm_U=None, error=None, rate=None,
-                                       failed=True, note=str(exc)))
-            prev_error = None
-            continue
-        if rec.failed:
-            rows.append(ConvergenceRow(level=l, h=h, k=rec.k, norm_u=None,
-                                       norm_U=None, error=None, rate=None,
-                                       failed=True, note=rec.failure))
+                                       failed=True, note=note))
             prev_error = None
             continue
         err = rec.sup_err if problem.exact is not None else None
@@ -176,18 +166,16 @@ def _consistency_orders(sizes=(8, 16, 32)):
 
     d1 = lambda X, Y: np.pi * np.cos(np.pi * X) * np.sin(np.pi * Y)
     d2 = lambda X, Y: -np.pi ** 2 * np.sin(np.pi * X) * np.sin(np.pi * Y)
-    orders = {}
-    for name, op, target in (("wide_first", wide_first_values, d1),
-                             ("wide_second", wide_second_values, d2)):
-        errs = [max_err(M, op, target) for M in sizes]
-        orders[name] = [float(np.log2(errs[i] / errs[i + 1]))
-                        for i in range(len(errs) - 1)]
     # the sign-flipped first-derivative stencil is anti-consistent: its
     # "truncation error" is O(1), which the order check exposes
     flipped = lambda v, h, ax: -wide_first_values(v, h, ax)
-    errs = [max_err(M, flipped, d1) for M in sizes]
-    orders["wide_first_sign_flipped"] = [float(np.log2(errs[i] / errs[i + 1]))
-                                         for i in range(len(errs) - 1)]
+    orders = {}
+    for name, op, target in (("wide_first", wide_first_values, d1),
+                             ("wide_second", wide_second_values, d2),
+                             ("wide_first_sign_flipped", flipped, d1)):
+        errs = [max_err(M, op, target) for M in sizes]
+        orders[name] = [float(np.log2(errs[i] / errs[i + 1]))
+                        for i in range(len(errs) - 1)]
     return orders
 
 
@@ -238,14 +226,25 @@ def _fmt(v) -> str:
     return "" if v is None else f"{v:.12e}"
 
 
-def emit_csv(rows: list, path: str) -> None:
-    """Convergence table: header h,k,norm_u,norm_U,error,rate."""
-    lines = ["h,k,norm_u,norm_U,error,rate"]
-    for r in rows:
-        lines.append(",".join([_fmt(r.h), _fmt(r.k), _fmt(r.norm_u),
-                               _fmt(r.norm_U), _fmt(r.error), _fmt(r.rate)]))
+def _write_csv(path: str, header: str, rows) -> None:
+    """The header, then one line per row of values (None an empty cell)."""
+    lines = [header] + [",".join(map(_fmt, row)) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def emit_csv(rows: list, path: str) -> None:
+    """Convergence table: header h,k,norm_u,norm_U,error,rate."""
+    _write_csv(path, "h,k,norm_u,norm_U,error,rate",
+               ((r.h, r.k, r.norm_u, r.norm_U, r.error, r.rate) for r in rows))
+
+
+def emit_norms_csv(rec, path: str) -> None:
+    """Per-level l2 norms of a SolutionRecord: t,l2_u,l2_U,l2_err, with the
+    u and error cells empty without a reference."""
+    none = [None] * len(rec.times)
+    _write_csv(path, "t,l2_u,l2_U,l2_err",
+               zip(rec.times, rec.l2_u or none, rec.l2_U, rec.l2_err or none))
 
 
 def emit_solution_csv(problem: ProblemSpec, t: float, fld: Field, path: str) -> None:
@@ -253,15 +252,13 @@ def emit_solution_csv(problem: ProblemSpec, t: float, fld: Field, path: str) -> 
     g, V = fld.grid, fld.values
     xs, ys = g.xs(), g.ys()
     E = g.evaluate(problem.exact, t) if problem.exact is not None else None
-    lines = ["x,y,u,U,e"]
+    rows = []
     for i in range(g.M + 1):
         for j in range(g.M + 1):
             u = None if E is None else E[i, j]
             e = None if E is None else E[i, j] - V[i, j]
-            lines.append(",".join([_fmt(xs[i]), _fmt(ys[j]), _fmt(u),
-                                   _fmt(V[i, j]), _fmt(e)]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+            rows.append((xs[i], ys[j], u, V[i, j], e))
+    _write_csv(path, "x,y,u,U,e", rows)
 
 
 def _svg_header(w, h):

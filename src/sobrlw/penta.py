@@ -18,6 +18,15 @@ system unchanged (in the result dtype of bands and right-hand side, at
 least float64).  TensorLineSolver couples the two directions this way: it
 diagonalizes the whole x-line operator once, and the y-line systems of
 all x-eigenmodes are factored, and solved, in one batched sweep over rows.
+
+solve_line sweeps over the row views that the factorization caches,
+
+    y_i = (y_i - b_i y_{i-1}) - a_i y_{i-2}
+    x_i = ((y_i - e_i x_{i+1}) - f_i x_{i+2}) / d_i,
+
+one ufunc call per row operation, into a row view of the result or one
+scratch row (out passed by position, the cheaper call): the arithmetic of
+an indexed row loop.
 """
 from __future__ import annotations
 
@@ -106,9 +115,7 @@ def factor(bands: PentaBands) -> PentaFactorization:
     dtype = np.result_type(*diagonals, float)
     a, b, d, e, f = (np.full(shape, c, dtype=dtype) for c in diagonals)
     for i in range(1, n):
-        if i >= 2:
-            if (d[i - 2] == 0.0).any():
-                raise SingularSystemError(f"zero pivot at row {i - 2}")
+        if i >= 2:      # pivot i - 2 was tested at row i - 1
             m2 = a[i] / d[i - 2]
             a[i] = m2
             b[i] -= m2 * e[i - 2]
@@ -126,21 +133,14 @@ def factor(bands: PentaBands) -> PentaFactorization:
 
 
 def solve_line(fact: PentaFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve for one right-hand side (n,) or a batch (n, m).
+    """Solve for one right-hand side (n,) or a batch (n, m), in the result
+    dtype of factors and right-hand side (at least float64).
 
     A stacked factorization of m systems takes (n, m), column l solved
     with system l.  Any other shape, a 0-d rhs included, is a
-    ConfigurationError naming it.  Both sweeps run over rows,
-
-        y_i = (y_i - b_i y_{i-1}) - a_i y_{i-2}
-        x_i = ((y_i - e_i x_{i+1}) - f_i x_{i+2}) / d_i,
-
-    each row operation writing into a row view of the result or into one
-    scratch row (the ufuncs' out argument, passed by position: it is the
-    cheaper call), in the result dtype of factors and right-hand side (at
-    least float64).  The solvers pass (n, m).  One (n,) system runs every
-    row operation as a 1-wide ufunc call, about 5x slower than a loop of
-    scalar arithmetic at n = 61.
+    ConfigurationError naming it.  The solvers pass (n, m).  One (n,)
+    system runs every row operation (see the module docstring) as a 1-wide
+    ufunc call, about 5x slower than a loop of scalar arithmetic at n = 61.
     """
     rhs = np.asarray(rhs)
     n = fact.n

@@ -65,6 +65,9 @@ class ProblemSpec:
             raise ConfigurationError(
                 f"|beta| and |gamma| must not exceed 1, got "
                 f"beta={self.beta}, gamma={self.gamma}")
+        if not (self.L1 < self.L2 and self.L3 < self.L4):      # NaN fails too
+            raise ConfigurationError(f"degenerate domain bounds ({self.L1},{self.L2})"
+                                     f"x({self.L3},{self.L4})")
 
     def compatibility_mismatch(self, M: int = 16) -> float:
         """Max |u0 - exact(.,0)| and |g - exact| on the boundary, sampled."""

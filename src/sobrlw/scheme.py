@@ -61,6 +61,7 @@ from .stencils import Axis, axis_first, five_point, wide_first_values
 
 STEPPERS = ("coupled", "split")
 RHS_SIGNS = ("derived", "paper")
+LEAPFROG_ALPHAS = ("on", "off")
 BOUNDARY_MODES = ("exact", "paper_copy")
 # The fixed-point iteration of an implicit source stops once its update is
 # at most PICARD_TOL * (1 + max|iterate|).
@@ -81,14 +82,11 @@ class SchemeConfig:
     k_rule: object = "auto"     # "auto" or an explicit time step (float)
 
     def __post_init__(self):
-        if self.stepper not in STEPPERS:
-            raise ConfigurationError(f"stepper must be one of {STEPPERS}")
-        if self.rhs_sign not in RHS_SIGNS:
-            raise ConfigurationError(f"rhs_sign must be one of {RHS_SIGNS}")
-        if self.leapfrog_alpha not in ("on", "off"):
-            raise ConfigurationError("leapfrog_alpha must be 'on' or 'off'")
-        if self.boundary_mode not in BOUNDARY_MODES:
-            raise ConfigurationError(f"boundary_mode must be one of {BOUNDARY_MODES}")
+        for name, choices in (("stepper", STEPPERS), ("rhs_sign", RHS_SIGNS),
+                              ("leapfrog_alpha", LEAPFROG_ALPHAS),
+                              ("boundary_mode", BOUNDARY_MODES)):
+            if getattr(self, name) not in choices:
+                raise ConfigurationError(f"{name} must be one of {choices}")
 
 
 @dataclass
@@ -141,32 +139,28 @@ def fill_boundary_layers(values: np.ndarray, t: float, problem: ProblemSpec,
     X and Y.
     """
     M = grid.M
-    out = np.array(values, dtype=float, copy=True)
+    layers = (0, 1, M - 1, M)
     if mode == "exact":
         if problem.exact is not None:
-            E = grid.evaluate(problem.exact, t)
+            fn = problem.exact
         elif problem.g_extends:
-            E = grid.evaluate(problem.g, t)
+            fn = problem.g
         else:
             raise ConfigurationError(
                 "boundary_mode='exact' needs a reference solution or a g "
                 "defined on the whole closure (g_extends)")
-        for l in (0, 1, M - 1, M):
-            out[l, :] = E[l, :]
-            out[:, l] = E[:, l]
-        return out
-    if mode == "paper_copy":
-        G = grid.evaluate(problem.g, t)
-        out[0, :] = G[0, :]
-        out[M, :] = G[M, :]
-        out[1, :] = out[0, :]
-        out[M - 1, :] = out[M, :]
-        out[:, 0] = G[:, 0]
-        out[:, M] = G[:, M]
-        out[:, 1] = out[:, 0]
-        out[:, M - 1] = out[:, M]
-        return out
-    raise ConfigurationError(f"unknown boundary mode {mode!r}")
+        sources = layers
+    elif mode == "paper_copy":      # the second layer copies the outer one
+        fn, sources = problem.g, (0, 0, M, M)
+    else:
+        raise ConfigurationError(f"unknown boundary mode {mode!r}")
+    E = grid.evaluate(fn, t)
+    out = np.array(values, dtype=float, copy=True)
+    for l, src in zip(layers, sources):     # rows first: the columns own the corners
+        out[l, :] = E[src, :]
+    for l, src in zip(layers, sources):
+        out[:, l] = E[:, src]
+    return out
 
 
 def _fixed_point(x: np.ndarray, step: Callable, what: str, t: float):
@@ -198,11 +192,12 @@ class _Operator(NamedTuple):
 class _Engine:
     """Precomputed machinery for one (problem, grid, cfg, k) combination.
 
-    Every sub-step, a trapezoid (_trapezoid) or a three-level update
-    (_three_level), fills the boundary layers of the new level, moves the
-    frame to the right-hand side as rhs - lhs(frame), solves for the
-    interior, and iterates an implicit source to a fixed point.  A
-    subclass per stepper builds its operators in _build and defines
+    Every sub-step, a trapezoid or a three-level update, is one _substep:
+    it forms the right-hand side (I + rhs) U_from plus explicit terms,
+    fills the boundary layers of the new level, moves the frame to the
+    right-hand side as rhs - lhs(frame), solves for the interior, and
+    iterates an implicit source to a fixed point.  A subclass per stepper
+    builds its operators in _build and defines
 
         startup(U^0) -> U^{1/2}
         half_update(U^{n-1/2}, U^n, t_n) -> U^{n+1/2}
@@ -226,10 +221,6 @@ class _Engine:
         self._build()
 
     # -- shared helpers ----------------------------------------------------
-
-    def _interior(self, values: np.ndarray) -> np.ndarray:
-        s = self.grid.interior
-        return values[s, s]
 
     def _apply(self, U: np.ndarray, cx=None, cy=None) -> np.ndarray:
         """Directional five-point sums of a full field, on the interior block."""
@@ -288,15 +279,17 @@ class _Engine:
         return self.source(Axis.X, t, U) + self.source(Axis.Y, t, U)
 
     def _substep(self, op: _Operator, U_from: np.ndarray, t_next: float,
-                 rhs: np.ndarray, implicit=None, what: str = "") -> np.ndarray:
+                 *terms: np.ndarray, implicit=None, what: str = "") -> np.ndarray:
         """New level at t_next: the layers of U_from filled, the interior solved.
 
-        With implicit(U), the right-hand side rhs + implicit(V) is iterated
-        to a fixed point in V.  Records its solves: 1, or the iterations.
+        The right-hand side is (I + rhs) U_from plus the explicit terms, in
+        order; with implicit(U), rhs + implicit(V) is iterated to a fixed
+        point in V.  Records its solves: 1, or the iterations.
         """
+        s = self.grid.interior
+        rhs = sum(terms, U_from[s, s] + self._apply(U_from, *op.rhs))
         if not np.isfinite(rhs).all():
             raise BlowUpError(f"non-finite right-hand side at t={t_next:g}", level=t_next)
-        s = self.grid.interior
         Un = fill_boundary_layers(U_from, t_next, self.problem, self.grid,
                                   self.cfg.boundary_mode)
         moved = self._frame_moved(Un, *op.lhs)
@@ -318,17 +311,8 @@ class _Engine:
         """Half-step t_from -> t_from + k/2 with the trapezoid of the source
         f(t, U): at t_from explicitly, at the new level iterated implicitly."""
         w, t_next = self.k / 4.0, t_from + self.k / 2.0
-        rhs = (self._interior(U_from) + self._apply(U_from, *op.rhs)
-               + w * f(t_from, U_from))
-        return self._substep(op, U_from, t_next, rhs, what=what,
+        return self._substep(op, U_from, t_next, w * f(t_from, U_from), what=what,
                              implicit=lambda U: w * f(t_next, U))
-
-    def _three_level(self, op: _Operator, base: np.ndarray, t_next: float,
-                     *terms: np.ndarray) -> np.ndarray:
-        """Three-level update of base to t_next: one direct solve whose
-        right-hand side is rhs(base) plus the explicit terms, in order."""
-        rhs = self._interior(base) + self._apply(base, *op.rhs)
-        return self._substep(op, base, t_next, sum(terms, rhs))
 
 
 class _CoupledEngine(_Engine):
@@ -354,8 +338,8 @@ class _CoupledEngine(_Engine):
     def chain_step(self, base: np.ndarray, mid: np.ndarray, t_mid: float) -> np.ndarray:
         """Three-level update spanning k, centered at t_mid."""
         k = self.k
-        return self._three_level(self._ops["chain"], base, t_mid + k / 2.0,
-                                 k * self.f_total(t_mid, mid))
+        return self._substep(self._ops["chain"], base, t_mid + k / 2.0,
+                             k * self.f_total(t_mid, mid))
 
     half_update = int_update = chain_step
 
@@ -395,9 +379,9 @@ class _SplitEngine(_Engine):
                  t_n: float) -> np.ndarray:
         """Explicit-midpoint x-direction update spanning k."""
         k = self.k
-        return self._three_level(self._ops["leapfrog"], U_half_prev, t_n + k / 2.0,
-                                 k * self._apply(U_int, self._c_mid),
-                                 k * self.source(Axis.X, t_n, U_int))
+        return self._substep(self._ops["leapfrog"], U_half_prev, t_n + k / 2.0,
+                             k * self._apply(U_int, self._c_mid),
+                             k * self.source(Axis.X, t_n, U_int))
 
     half_update = leapfrog
 
@@ -509,36 +493,37 @@ class SolutionRecord:
 
 def run(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig = SchemeConfig(),
         T: Optional[float] = None, dump_times=()) -> SolutionRecord:
-    """Integrate to T, tracking norms over the integer levels n = 0..N."""
+    """Integrate to T, tracking norms over the integer levels n = 0..N and a
+    snapshot at each dump time, which must lie in [0, T]."""
     T = problem.T if T is None else float(T)
     tg = resolve_time_grid(grid, cfg, T)
     k, N = tg.k, tg.N
+    end = max(T, N * k)     # N k, the time of the last level, may round above T
+    dump_left = sorted(float(t) for t in dump_times)
+    outside = [t for t in dump_left if not 0.0 <= t <= end]     # NaN too
+    if outside:
+        raise ConfigurationError(f"dump times {outside} lie outside [0, T={T:g}]")
     eng = _engine(problem, grid, cfg, k)
     rec = SolutionRecord(problem_name=problem.name, M=grid.M, k=k, N=N, cfg=cfg,
                          diagnostics=eng.diagnostics)
     have_exact = problem.exact is not None
-    dump_left = sorted(float(t) for t in dump_times)
-    # U, u and e = u - U at one level, as the rows of one stack
-    V = np.empty((3, grid.M + 1, grid.M + 1)) if have_exact else None
+    # U, and with a reference u and e = u - U, at one level as the rows of
+    # one stack; each row's norms go to its pair of series
+    V = np.empty((3 if have_exact else 1, grid.M + 1, grid.M + 1))
+    series = ((rec.l2_U, rec.h2_U), (rec.l2_u, rec.h2_u), (rec.l2_err, rec.h2_err))
 
     def observe(level_n: int, values: np.ndarray):
         t = level_n * k
+        V[0] = values
         if have_exact:
-            V[0] = values
             V[1] = grid.evaluate(problem.exact, t)
             if not np.isfinite(V[1]).all():
                 raise ConfigurationError(f"reference solution is non-finite at t={t:g}")
             np.subtract(V[1], V[0], V[2])
-            nU, nu, ne = _h2_reports(V, grid, problem.alpha)
-            rec.l2_u.append(nu.l2)
-            rec.l2_err.append(ne.l2)
-            rec.h2_u.append(nu.h2)
-            rec.h2_err.append(ne.h2)
-        else:
-            (nU,) = _h2_reports(values[None], grid, problem.alpha)
+        for (l2, h2), report in zip(series, _h2_reports(V, grid, problem.alpha)):
+            l2.append(report.l2)
+            h2.append(report.h2)
         rec.times.append(t)
-        rec.l2_U.append(nU.l2)
-        rec.h2_U.append(nU.h2)
         while dump_left and t >= dump_left[0] - 0.25 * k:
             rec.snapshots[dump_left.pop(0)] = (t, Field(grid, values))
 

@@ -284,6 +284,18 @@ def full_mesh_solution_csv(problem, t, fld):
     return "\n".join(lines) + "\n"
 
 
+def inline_norms_csv(rec):
+    """Text of the t,l2_u,l2_U,l2_err CSV of `sobrlw solve --out`, as the
+    CLI once wrote it inline; the u and error cells are empty without a
+    reference."""
+    lines = ["t,l2_u,l2_U,l2_err"]
+    for idx, t in enumerate(rec.times):
+        u = f"{rec.l2_u[idx]:.12e}" if rec.l2_u else ""
+        e = f"{rec.l2_err[idx]:.12e}" if rec.l2_err else ""
+        lines.append(f"{t:.12e},{u},{rec.l2_U[idx]:.12e},{e}")
+    return "\n".join(lines) + "\n"
+
+
 def per_side_compatibility_mismatch(problem, M=16):
     """Max |u0 - exact(.,0)| over the full mesh and |g - exact| over each of
     the four boundary sides in turn, at seven times in [0, T]."""

@@ -9,11 +9,13 @@ from sobrlw import (SchemeConfig, convergence_study, emit_csv,
                     emit_solution_csv, emit_svg, example1, example2, example3,
                     get_problem, make_grid, manufactured, rate, run, sample,
                     verify_suite)
-from sobrlw.cli import main
-from sobrlw.harness import make_manifest
+from sobrlw import scheme
+from sobrlw.cli import _build_parser, _scheme_config, main
+from sobrlw.harness import emit_norms_csv, make_manifest
 from sobrlw.problems import MANUFACTURED_PRESETS
 
-from _oracles import full_mesh_solution_csv, per_side_compatibility_mismatch
+from _oracles import (full_mesh_solution_csv, inline_norms_csv,
+                      per_side_compatibility_mismatch)
 from test_scheme import zero_problem
 
 
@@ -52,6 +54,20 @@ def test_convergence_study_marks_degenerate_level():
     assert rows[0].failed and "M=2" in rows[0].note
     assert not rows[1].failed
     assert rows[1].rate is None     # chain broken by the failed level
+
+
+def test_convergence_study_rows_of_a_refused_and_of_a_failed_level():
+    # a ConfigurationError inside run() leaves k unknown; a failed run
+    # keeps its k and names its failure
+    no_fill = dataclasses.replace(example1(), exact=None, g_extends=False)
+    (row,) = convergence_study(no_fill, [2])
+    assert row.failed and row.k is None and "needs a reference" in row.note
+    stiff = dataclasses.replace(example1(), f1=lambda X, Y, t, U, UX: 1e6 * U)
+    (row,) = convergence_study(stiff, [2])
+    rec = run(stiff, make_grid(0, 1, 0, 1, 4))
+    assert row.failed and row.k == rec.k and row.note == rec.failure
+    assert "PicardError" in row.note
+    assert (row.norm_u, row.norm_U, row.error, row.rate) == (None,) * 4
 
 
 def test_convergence_study_rates_chain():
@@ -241,6 +257,41 @@ def test_cli_solve_with_outputs(tmp_path, capsys):
     assert dump.read_text().startswith("x,y,u,U,e")
 
 
+@pytest.mark.parametrize("make", [example1, lambda: dataclasses.replace(example1(), exact=None)],
+                         ids=["reference", "no-reference"])
+def test_norms_csv_is_bytewise_the_inline_writer(make, tmp_path):
+    p = make()
+    rec = run(p, make_grid(0, 1, 0, 1, 8), SchemeConfig(boundary_mode="paper_copy"))
+    path = tmp_path / "norms.csv"
+    emit_norms_csv(rec, str(path))
+    assert path.read_bytes() == inline_norms_csv(rec).encode()
+    assert (",," in path.read_text()) == (p.exact is None)
+
+
+@pytest.mark.parametrize("t", ["5", "-1"])
+def test_cli_dump_time_outside_0_T_is_config_error_and_writes_nothing(t, tmp_path, capsys):
+    dump = tmp_path / "s.csv"
+    code = main(["solve", "--problem", "example1", "--M", "8", "--dump-at", t, str(dump)])
+    assert code == 2 and not dump.exists()
+    assert "outside [0, T=1]" in capsys.readouterr().err
+
+
+def test_cli_scheme_config_leaves_every_default_to_scheme_config():
+    assert _scheme_config({}) == SchemeConfig()
+    assert _scheme_config({"k": "auto"}) == SchemeConfig()
+    assert _scheme_config({"boundary": "paper-copy", "k": "0.5"}) == SchemeConfig(
+        boundary_mode="paper_copy", k_rule=0.5)
+
+
+def test_cli_mode_choices_are_the_scheme_config_choices():
+    solve = next(a for a in _build_parser()._actions if a.dest == "command").choices["solve"]
+    choices = {a.dest: tuple(a.choices) for a in solve._actions if a.choices}
+    assert choices == {"stepper": scheme.STEPPERS, "rhs_sign": scheme.RHS_SIGNS,
+                       "leapfrog_alpha": scheme.LEAPFROG_ALPHAS,
+                       "boundary": ("exact", "paper-copy")}
+    assert scheme.BOUNDARY_MODES == ("exact", "paper_copy")
+
+
 def test_cli_convergence_with_manifest(tmp_path):
     out = tmp_path / "conv.csv"
     man = tmp_path / "manifest.json"
@@ -349,7 +400,7 @@ def test_cli_coefficients_reach_manufactured_problems_only(monkeypatch, capsys):
     assert seen == [{"beta": 0.3}]      # alpha and gamma keep the library's 1, 1
     assert "problem=manufactured:poly" in capsys.readouterr().out
     assert main(["solve", "--problem", "example2", "--M", "8", "--gamma", "0.5"]) == 2
-    assert "--gamma applies only to manufactured:<preset>" in capsys.readouterr().err
+    assert "gamma applies only to manufactured:<preset>" in capsys.readouterr().err
     assert main(["solve", "--problem", "nope", "--alpha", "0.5"]) == 2
     assert "unknown problem 'nope'" in capsys.readouterr().err
 

@@ -89,6 +89,17 @@ def test_factor_rejects_singular():
         factor(PentaBands(0.1, -0.2, np.array([2.0, 0.0, 3.0]), -0.1, 0.05, n=4))
 
 
+@pytest.mark.parametrize("bands, row", [
+    (PentaBands(0, 0, 0.0, 0, 0, n=3), 0),
+    (PentaBands(0, 1.0, 1.0, 1.0, 0, n=4), 1),     # d1 = 1 - 1*1
+    (PentaBands(1.0, 0, 1.0, 0, 1.0, n=4), 2),     # d2 = 1 - 1*1, in the loop
+    (PentaBands(1.0, 0, 1.0, 0, 1.0, n=3), 2),     # the same pivot, last row
+], ids=["row0", "row1", "row2", "last-row"])
+def test_factor_names_the_row_of_the_zero_pivot(bands, row):
+    with pytest.raises(SingularSystemError, match=f"^zero pivot at row {row}$"):
+        factor(bands)
+
+
 def test_solve_against_dense_oracle():
     rng = np.random.default_rng(2)
     bands = random_dominant_bands(rng, 6)

@@ -122,6 +122,17 @@ def test_spec_validation():
                     f1=None, f2=None, u0=None, g=None)
 
 
+@pytest.mark.parametrize("bounds", [(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.5, 0.5),
+                                    (0.0, float("nan"), 0.0, 1.0),
+                                    (0.0, 1.0, float("nan"), 1.0)],
+                         ids=["x-reversed", "y-empty", "x-nan", "y-nan"])
+def test_spec_rejects_degenerate_bounds(bounds):
+    # without this check a convergence study would turn the bounds that
+    # make_grid refuses into a table of failed rows
+    with pytest.raises(ConfigurationError, match="degenerate domain bounds"):
+        manufactured(1.0, 0.0, 0.0, MANUFACTURED_PRESETS["trig"], bounds=bounds)
+
+
 @pytest.mark.parametrize("coeff", ["alpha", "beta", "gamma"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
                          ids=["nan", "inf", "-inf"])

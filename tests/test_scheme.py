@@ -300,6 +300,29 @@ def test_observed_series_are_bitwise_the_per_field_norms(make, cfg):
     assert (p.exact is None) == (rec.l2_u == rec.h2_err == [])
 
 
+@pytest.mark.parametrize("t", [-0.1, 2.0, float("nan")], ids=["before-0", "after-T", "nan"])
+def test_run_refuses_a_dump_time_outside_0_T_before_stepping(t, monkeypatch):
+    def no_engine(*args):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(scheme, "_engine", no_engine)
+    with pytest.raises(ConfigurationError, match=r"outside \[0, T=1\]"):
+        run(example1(), make_grid(0, 1, 0, 1, 8), dump_times=[0.5, t])
+
+
+def test_run_captures_a_dump_time_at_T_and_at_the_last_level_above_T():
+    g = make_grid(0, 1, 0, 1, 8)
+    rec = run(example1(), g, dump_times=[1.0])
+    assert list(rec.snapshots) == [1.0]
+    t, fld = rec.snapshots[1.0]
+    assert t == rec.times[-1] and fld.values.tobytes() == rec.final.values.tobytes()
+    # 37 steps of 0.3/37 end at 0.30000000000000004: that level's time is
+    # a dump time too
+    rec = run(example1(), g, SchemeConfig(k_rule=0.3 / 37), T=0.3,
+              dump_times=[37 * (0.3 / 37)])
+    assert rec.times[-1] > 0.3 and rec.snapshots[rec.times[-1]][0] == rec.times[-1]
+
+
 def test_a_non_finite_reference_at_an_observed_level_is_a_configuration_error():
     # NaN at one interior node from t = 0.3 on: the boundary fill never reads
     # that node, so only the observation sees it, and it must not turn into

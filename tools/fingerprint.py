@@ -15,19 +15,30 @@ fingerprint.  With ``--against`` the differing names go to stderr and the
 exit status is 1 if any fingerprint differs or a configuration is missing.
 ``--M n`` runs every configuration at M = n (a quick check; names say the M
 used).
+
+Three more fingerprints cover what lies outside `run()`: the rows of one
+`convergence_study(example1(), range(1, 5))` (every field but the note, by
+`repr`, which round-trips each float), and the bytes of the files that one
+`sobrlw solve --out --dump-at --svg` and one `sobrlw convergence --out --svg`
+write into a temporary directory.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 
-from sobrlw import (SchemeConfig, example1, example2, example3, get_problem,
-                    make_grid, manufactured, run)
+from sobrlw import (ConvergenceRow, SchemeConfig, convergence_study, example1,
+                    example2, example3, get_problem, make_grid, manufactured, run)
+from sobrlw.cli import main as cli_main
 from sobrlw.problems import MANUFACTURED_PRESETS
 
 
@@ -85,6 +96,30 @@ def fingerprint(rec) -> str:
     return f"{values[:16]}-{_digest(rec.diagnostics.picard_iterations)[:8]}"
 
 
+def study_fingerprint(rows) -> str:
+    """First 16 hex digits of a SHA-256 over every row field but the note."""
+    names = [f.name for f in fields(ConvergenceRow) if f.name != "note"]
+    text = repr([[getattr(row, name) for name in names] for row in rows])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def cli_fingerprint(argv, outputs) -> str:
+    """First 16 hex digits of a SHA-256 over the files that one CLI call
+    writes, in the order given; each name in outputs is placed in a
+    temporary directory and in argv where it appears there."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [str(Path(tmp) / name) for name in outputs]
+        argv = [paths[outputs.index(a)] if a in outputs else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(argv)
+        if code != 0:
+            return f"exit {code}"
+        digest = hashlib.sha256()
+        for path in paths:
+            digest.update(Path(path).read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def fingerprints(M=None) -> dict:
     """Fingerprint of every configuration, at its own M or at the given one."""
     out = {}
@@ -96,6 +131,17 @@ def fingerprints(M=None) -> dict:
         p = make()
         rec = run(p, make_grid(p.L1, p.L2, p.L3, p.L4, size), SchemeConfig(**cfg), T=T)
         out[name] = fingerprint(rec)
+    out["convergence_study example1 levels 1..4"] = study_fingerprint(
+        convergence_study(example1(), range(1, 5)))
+    size = 16 if M is None else M
+    out[f"cli solve example1 --out --dump-at --svg M={size}"] = cli_fingerprint(
+        ["solve", "--problem", "example1", "--M", str(size), "--out", "norms.csv",
+         "--dump-at", "0.5", "slice.csv", "--svg", "field.svg"],
+        ["norms.csv", "slice.csv", "field.svg"])
+    out["cli convergence example1 --levels 2..4 --out --svg"] = cli_fingerprint(
+        ["convergence", "--problem", "example1", "--levels", "2..4",
+         "--out", "table.csv", "--svg", "rates.svg"],
+        ["table.csv", "rates.svg"])
     return out
 
 
