@@ -1,19 +1,22 @@
 """Command-line interface: single solves, convergence studies, identity checks.
 
-    sobrlw solve --problem example1 --M 16 [--k auto|0.05] [--T 1.0]
-                 [--boundary exact|paper-copy] [--rhs-sign derived|paper]
-                 [--leapfrog-alpha on|off] [--stepper coupled|split]
-                 [--out norms.csv] [--dump-at 0.5 slice.csv] [--svg field.svg]
-    sobrlw convergence --problem example1 --levels 2..4 [same flags] --out table.csv
-    sobrlw verify --M 12 --seed 0
+    sobrlw solve [--problem NAME] [--M M] [scheme flags] [--out CSV]
+                 [--dump-at T CSV] [--svg SVG] [--manifest JSON]
+    sobrlw convergence [--problem NAME] [--levels A..B] [scheme flags] [--out CSV]
+                       [--svg SVG] [--manifest JSON]
+    sobrlw verify [--M M] [--seed SEED]
 
-A config file (JSON or key=value lines) can supply any flag's value;
-command-line arguments override it.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure, 4 I/O error.
+`sobrlw <command> --help` lists each flag with its choices and default,
+which come from the library's constants, SchemeConfig, the signature of
+verify_suite and the DEFAULT_* constants below.  A config file (JSON or
+key=value lines) can supply any flag's value; command-line arguments
+override it.  Exit codes: 0 success, 2 configuration error, 3 numerical
+failure, 4 I/O error.
 """
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -21,7 +24,7 @@ from .errors import ConfigurationError, NumericalError
 from .grid import make_grid
 from .harness import (convergence_study, emit_csv, emit_norms_csv,
                       emit_solution_csv, emit_svg, make_manifest, verify_suite)
-from .problems import get_problem
+from .problems import MANUFACTURED_PRESETS, get_problem
 from .scheme import (BOUNDARY_MODES, LEAPFROG_ALPHAS, RHS_SIGNS, STEPPERS,
                      SchemeConfig, run)
 
@@ -29,6 +32,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+DEFAULT_PROBLEM = "example1"
+DEFAULT_M = 16
+DEFAULT_LEVELS = "2..4"
 
 
 def _read_config_file(path: str) -> dict:
@@ -58,11 +65,17 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sobrlw",
         description="Solver and benchmark harness for 2D Sobolev/RLW equations")
     sub = parser.add_subparsers(dest="command", required=True)
+    # defaults stay None so that a config file can fill them in (_merged);
+    # the help states the values that apply then
+    scheme = SchemeConfig()
+    verify = inspect.signature(verify_suite).parameters
 
     def add_common(p):
         p.add_argument("--config", help="config file (JSON or key=value lines)")
         p.add_argument("--problem",
-                       help="example1|example2|example3|manufactured:<preset>")
+                       help="example1|example2|example3|manufactured:<preset>, "
+                            f"<preset> one of {', '.join(MANUFACTURED_PRESETS)} "
+                            f"(default {DEFAULT_PROBLEM})")
         p.add_argument("--alpha", type=float,
                        help="model coefficient for manufactured problems")
         p.add_argument("--beta", type=float,
@@ -71,35 +84,43 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="model coefficient for manufactured problems")
         p.add_argument("--T", type=float, help="final time (default: problem's)")
         p.add_argument("--k", default=None,
-                       help="time step: 'auto' (h^(4/3) rule) or a number")
+                       help="time step: 'auto' (h^(4/3) rule) or a number "
+                            f"(default {scheme.k_rule})")
         p.add_argument("--boundary",
                        choices=[m.replace("_", "-") for m in BOUNDARY_MODES],
-                       help="boundary-layer filling mode")
+                       help="boundary-layer filling mode (default "
+                            f"{scheme.boundary_mode.replace('_', '-')})")
         p.add_argument("--rhs-sign", choices=RHS_SIGNS,
-                       help="sign of the trapezoid operator on the RHS")
+                       help="sign of the trapezoid operator on the RHS "
+                            f"(default {scheme.rhs_sign})")
         p.add_argument("--leapfrog-alpha", choices=LEAPFROG_ALPHAS,
-                       help="carry alpha in the three-level mass operator")
+                       help="carry alpha in the three-level mass operator "
+                            f"(default {scheme.leapfrog_alpha})")
         p.add_argument("--stepper", choices=STEPPERS,
-                       help="coupled full-mass stepper (default) or literal "
-                            "directional splitting")
+                       help="coupled full-mass stepper or literal directional "
+                            f"splitting (default {scheme.stepper})")
         p.add_argument("--out", help="output CSV path")
         p.add_argument("--svg", help="output SVG path")
         p.add_argument("--manifest", help="write a JSON run manifest here")
 
     p_solve = sub.add_parser("solve", help="single run at one resolution")
     add_common(p_solve)
-    p_solve.add_argument("--M", type=int, help="subdivisions per axis")
+    p_solve.add_argument("--M", type=int,
+                         help=f"subdivisions per axis (default {DEFAULT_M})")
     p_solve.add_argument("--dump-at", nargs=2, metavar=("T", "CSV"),
                          help="write an x,y,u,U,e slice at time T")
 
     p_conv = sub.add_parser("convergence", help="grid refinement study")
     add_common(p_conv)
-    p_conv.add_argument("--levels", help="refinement levels, e.g. 2..4 or 2,3,4")
+    p_conv.add_argument("--levels", help="refinement levels, e.g. 2..4 or 2,3,4 "
+                                         f"(default {DEFAULT_LEVELS})")
 
     p_ver = sub.add_parser("verify", help="discrete-identity verification suite")
     p_ver.add_argument("--config", help="config file")
-    p_ver.add_argument("--M", type=int, help="grid subdivisions (default 12)")
-    p_ver.add_argument("--seed", type=int, help="random seed (default 0)")
+    p_ver.add_argument("--M", type=int,
+                       help=f"grid subdivisions (default {verify['M'].default})")
+    p_ver.add_argument("--seed", type=int,
+                       help=f"random seed (default {verify['seed'].default})")
     return parser
 
 
@@ -161,7 +182,7 @@ def _get_problem(opts: dict):
     """The named problem; get_problem refuses coefficients for example1-3."""
     given = {key: _number(float, key, opts[key])
              for key in ("alpha", "beta", "gamma") if key in opts}
-    return get_problem(str(opts.get("problem", "example1")), **given)
+    return get_problem(str(opts.get("problem", DEFAULT_PROBLEM)), **given)
 
 
 def _final_time(opts: dict, problem) -> float:
@@ -177,7 +198,7 @@ def _write_manifest(opts: dict, command: str, problem, levels, cfg, T, outputs):
 
 def _cmd_solve(opts: dict) -> int:
     problem = _get_problem(opts)
-    M = _number(int, "M", opts.get("M", 16))
+    M = _number(int, "M", opts.get("M", DEFAULT_M))
     grid = make_grid(problem.L1, problem.L2, problem.L3, problem.L4, M)
     cfg = _scheme_config(opts)
     T = _final_time(opts, problem)
@@ -212,7 +233,7 @@ def _cmd_solve(opts: dict) -> int:
 
 def _cmd_convergence(opts: dict) -> int:
     problem = _get_problem(opts)
-    levels = _parse_levels(opts.get("levels", "2..4"))
+    levels = _parse_levels(opts.get("levels", DEFAULT_LEVELS))
     cfg = _scheme_config(opts)
     T = _final_time(opts, problem)
     rows = convergence_study(problem, levels, cfg, T=T)

@@ -19,14 +19,22 @@ least float64).  TensorLineSolver couples the two directions this way: it
 diagonalizes the whole x-line operator once, and the y-line systems of
 all x-eigenmodes are factored, and solved, in one batched sweep over rows.
 
-solve_line sweeps over the row views that the factorization caches,
+solve_line sweeps over rows and row pairs,
 
     y_i = (y_i - b_i y_{i-1}) - a_i y_{i-2}
     x_i = ((y_i - e_i x_{i+1}) - f_i x_{i+2}) / d_i,
 
-one ufunc call per row operation, into a row view of the result or one
-scratch row (out passed by position, the cheaper call): the arithmetic of
-an indexed row loop.
+in a workspace that the factorization caches per right-hand side shape
+and dtype.  factor stores [a_i; b_i] and [e_i; f_i] as pairs, so a row
+takes one multiply of its pair by the contiguous rows y[i-2:i] (or
+x[i+1:i+3]) into a 2-row scratch, then one ufunc call per subtraction and
+division, in the order above: 3 calls per forward row, 4 per backward row,
+each on all right-hand sides at once (out passed by position, the cheaper
+call), and the arithmetic of an indexed row loop.  A one-system
+factorization broadcasts (2, 1) pairs over the columns, which costs more
+per row than it saves, so the split stepper stacks its line systems too.
+The workspace makes one factorization's solve_line not reentrant: threads
+need one factorization each.
 """
 from __future__ import annotations
 
@@ -85,24 +93,42 @@ def stencil_coefficients(h: float, alpha: float, beta: float, gamma: float,
 class PentaFactorization:
     """LU factors (no pivoting) of a pentadiagonal matrix, bandwidth 2.
 
-    Each array is (n,) for one system or (n, m) for m stacked systems;
-    rows holds the rows of a, b, d, e, f once, as lists of views (0-d for
-    one system, where a ufunc takes them faster than scalars), for the
-    sweeps of solve_line.
+    d is (n,) for one system or (n, m) for m stacked systems; ab and ef
+    hold the row pairs [a_i; b_i] and [e_i; f_i], (n, 2) or (n, 2, m), and
+    a, b, e, f are views of them.  The sweep workspaces of solve_line are
+    cached per right-hand side shape and dtype.
     """
 
-    a: np.ndarray   # subsub multipliers
-    b: np.ndarray   # sub multipliers
+    ab: np.ndarray  # subsub and sub multipliers
     d: np.ndarray   # pivots
-    e: np.ndarray   # superdiagonal of U
-    f: np.ndarray   # supersuper diagonal of U
+    ef: np.ndarray  # superdiagonal and supersuper diagonal of U
     n: int
-    rows: tuple = field(init=False, repr=False, compare=False)
+    _work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(
-            [v[i, ...] for i in range(self.n)]
-            for v in (self.a, self.b, self.d, self.e, self.f)))
+    a = property(lambda self: self.ab[:, 0])
+    b = property(lambda self: self.ab[:, 1])
+    e = property(lambda self: self.ef[:, 0])
+    f = property(lambda self: self.ef[:, 1])
+
+
+class _Sweep:
+    """A right-hand side buffer y, (n, k), its 2-row scratch, and the row
+    and row-pair views of y and of the factors that the sweeps run over."""
+
+    def __init__(self, fact: PentaFactorization, shape: tuple, dtype):
+        n = fact.n
+        y = np.empty((n, int(np.prod(shape[1:], dtype=int))), dtype)
+        self.rhs_view = y.reshape(shape)
+        # one system: (2, 1) pairs and (1,) rows broadcast over the k columns
+        ab, ef = (v.reshape(n, 2, -1) for v in (fact.ab, fact.ef))
+        d = fact.d.reshape(n, -1)
+        self.tmp = np.empty((2, y.shape[1]), dtype)
+        self.y, self.d = list(y), list(d)
+        self.b1 = ab[1, 1] if n >= 2 else None
+        self.e2 = ef[n - 2, 0] if n >= 2 else None
+        self.forward = [(ab[i], y[i - 2:i], y[i]) for i in range(2, n)]
+        self.backward = [(ef[i], y[i + 1:i + 3], y[i], d[i])
+                         for i in range(n - 3, -1, -1)]
 
 
 def factor(bands: PentaBands) -> PentaFactorization:
@@ -113,7 +139,11 @@ def factor(bands: PentaBands) -> PentaFactorization:
     shape = (n,) + np.shape(bands.c_0)
     diagonals = (bands.c_mm, bands.c_m, bands.c_0, bands.c_p, bands.c_pp)
     dtype = np.result_type(*diagonals, float)
-    a, b, d, e, f = (np.full(shape, c, dtype=dtype) for c in diagonals)
+    ab = np.empty((n, 2) + shape[1:], dtype)
+    ef = np.empty_like(ab)
+    a, b, e, f = ab[:, 0], ab[:, 1], ef[:, 0], ef[:, 1]
+    a[...], b[...], e[...], f[...] = bands.c_mm, bands.c_m, bands.c_p, bands.c_pp
+    d = np.full(shape, bands.c_0, dtype=dtype)
     for i in range(1, n):
         if i >= 2:      # pivot i - 2 was tested at row i - 1
             m2 = a[i] / d[i - 2]
@@ -129,18 +159,21 @@ def factor(bands: PentaBands) -> PentaFactorization:
             e[i] -= m1 * f[i - 1]
     if (d[n - 1] == 0.0).any():
         raise SingularSystemError(f"zero pivot at row {n - 1}")
-    return PentaFactorization(a=a, b=b, d=d, e=e, f=f, n=n)
+    return PentaFactorization(ab=ab, d=d, ef=ef, n=n)
 
 
 def solve_line(fact: PentaFactorization, rhs: np.ndarray) -> np.ndarray:
     """Solve for one right-hand side (n,) or a batch (n, m), in the result
-    dtype of factors and right-hand side (at least float64).
+    dtype of factors and right-hand side (at least float64), into a new array.
 
     A stacked factorization of m systems takes (n, m), column l solved
     with system l.  Any other shape, a 0-d rhs included, is a
-    ConfigurationError naming it.  The solvers pass (n, m).  One (n,)
-    system runs every row operation (see the module docstring) as a 1-wide
-    ufunc call, about 5x slower than a loop of scalar arithmetic at n = 61.
+    ConfigurationError naming it.  The solvers pass (n, m) to a stacked
+    factorization, so factor and right-hand side rows have one shape; a
+    one-system factorization broadcasts its rows over the columns, and
+    one (n,) system runs every row operation (see the module docstring)
+    on a single value.  Not reentrant: the sweep runs in the
+    factorization's workspace.
     """
     rhs = np.asarray(rhs)
     n = fact.n
@@ -150,26 +183,29 @@ def solve_line(fact: PentaFactorization, rhs: np.ndarray) -> np.ndarray:
     if fact.d.ndim == 2 and rhs.shape != fact.d.shape:
         raise ConfigurationError(f"rhs shape {rhs.shape} does not match the "
                                  f"factorization of shape {fact.d.shape}")
-    a, b, d, e, f = fact.rows
-    y = np.array(rhs, dtype=np.result_type(rhs, fact.d, float), order="C")
-    # row views; iterating a 1-D array would give copies as scalars
-    r = list(y.reshape(n, -1))
-    tmp = np.empty_like(r[0])
+    key = (rhs.shape, np.result_type(rhs, fact.d, float))
+    w = fact._work.get(key) or fact._work.setdefault(key, _Sweep(fact, *key))
+    np.copyto(w.rhs_view, rhs)
+    y, d, tmp = w.y, w.d, w.tmp
+    t0, t1 = tmp
     mul, sub, div = np.multiply, np.subtract, np.divide
-    for i in range(1, n):
-        sub(r[i], mul(b[i], r[i - 1], tmp), r[i])
-        if i >= 2:
-            sub(r[i], mul(a[i], r[i - 2], tmp), r[i])
-    # back substitution in place: x_i overwrites y_i, read only for x_i
-    div(r[n - 1], d[n - 1], r[n - 1])
     if n >= 2:
-        sub(r[n - 2], mul(e[n - 2], r[n - 1], tmp), r[n - 2])
-        div(r[n - 2], d[n - 2], r[n - 2])
-    for i in range(n - 3, -1, -1):
-        sub(r[i], mul(e[i], r[i + 1], tmp), r[i])
-        sub(r[i], mul(f[i], r[i + 2], tmp), r[i])
-        div(r[i], d[i], r[i])
-    return y
+        sub(y[1], mul(w.b1, y[0], t1), y[1])
+    for ab, pair, yi in w.forward:
+        mul(ab, pair, tmp)
+        sub(yi, t1, yi)
+        sub(yi, t0, yi)
+    # back substitution in place: x_i overwrites y_i, read only for x_i
+    div(y[n - 1], d[n - 1], y[n - 1])
+    if n >= 2:
+        sub(y[n - 2], mul(w.e2, y[n - 1], t0), y[n - 2])
+        div(y[n - 2], d[n - 2], y[n - 2])
+    for ef, pair, xi, di in w.backward:
+        mul(ef, pair, tmp)
+        sub(xi, t0, xi)
+        sub(xi, t1, xi)
+        div(xi, di, xi)
+    return w.rhs_view.copy()
 
 
 class TensorLineSolver:

@@ -352,7 +352,9 @@ class _SplitEngine(_Engine):
         th = k / 4.0
 
         def line_op(axis, lhs, rhs):
-            fact = factor(PentaBands(*lhs[axis.value], n=n).shifted(1.0))
+            # stacked, one main diagonal per line: factor rows take the
+            # shape of the (n, n) right-hand side rows, with no broadcast
+            fact = factor(PentaBands(*lhs[axis.value], n=n).shifted(np.ones(n)))
             return _Operator(lhs, rhs, partial(_line_solve, fact, axis))
 
         self._ops = {}

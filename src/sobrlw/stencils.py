@@ -73,16 +73,22 @@ def five_point(values: np.ndarray, w: np.ndarray, axis: Axis) -> np.ndarray:
     """Sums w[0]*u[i-2] + ... + w[4]*u[i+2] along axis, for i = 2..M-2.
 
     M + 1 is the length of values along axis; the other axis is kept whole.
+    The sum is ((w[0]*u[i-2] + w[1]*u[i-1]) + w[2]*u[i]) + ..., formed in one
+    accumulator with one scratch array.
     """
     v = axis_first(values, axis)
     M = v.shape[0] - 1
-    return axis_first(w[0] * v[0:M - 3] + w[1] * v[1:M - 2] + w[2] * v[2:M - 1]
-                      + w[3] * v[3:M] + w[4] * v[4:M + 1], axis)
+    acc = np.multiply(w[0], v[0:M - 3])
+    term = np.empty_like(acc)
+    for k in range(1, 5):
+        np.add(acc, np.multiply(w[k], v[k:M - 3 + k], term), acc)
+    return axis_first(acc, axis)
 
 
 def _padded(values: np.ndarray, inner: np.ndarray, axis: Axis, width: int) -> np.ndarray:
-    """inner on the nodes `width`.. from each end along axis, zeros outside."""
-    out = np.zeros_like(values)
+    """inner on the nodes `width`.. from each end along axis, zeros outside,
+    in inner's dtype (integer values give float differences)."""
+    out = np.zeros_like(values, dtype=inner.dtype)
     axis_first(out, axis)[width:-width] = axis_first(inner, axis)
     return out
 
@@ -92,12 +98,13 @@ def second_diff_values(values: np.ndarray, h: float, axis: Axis) -> np.ndarray:
 
 
 def wide_first_values(values: np.ndarray, h: float, axis: Axis) -> np.ndarray:
-    return _padded(values, five_point(values, WIDE_FIRST_W, axis) / (12.0 * h), axis, 2)
+    sums = five_point(values, WIDE_FIRST_W, axis)
+    return _padded(values, np.divide(sums, 12.0 * h, sums), axis, 2)
 
 
 def wide_second_values(values: np.ndarray, h: float, axis: Axis) -> np.ndarray:
-    return _padded(values, five_point(values, WIDE_SECOND_W, axis) / (12.0 * h * h),
-                   axis, 2)
+    sums = five_point(values, WIDE_SECOND_W, axis)
+    return _padded(values, np.divide(sums, 12.0 * h * h, sums), axis, 2)
 
 
 def half_diff(field: Field, axis: Axis) -> np.ndarray:

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +236,16 @@ def test_cli_verify_ok(capsys):
     assert main(["verify", "--M", "8", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "all identities hold" in out
+
+
+def test_cli_verify_help_shows_the_defaults_of_verify_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    params = inspect.signature(verify_suite).parameters
+    for flag, name in (("--M M", "M"), ("--seed SEED", "seed")):
+        assert re.search(rf"{flag} [^(]*\(default {params[name].default}\)", out), flag
 
 
 def test_cli_unknown_problem_is_config_error(capsys):

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -182,6 +183,53 @@ def test_solve_line_is_bitwise_the_row_loop(n, factors, rhs_kind):
     x, ref = solve_line(fact, rhs), loop_solve_line(fact, rhs)
     assert x.dtype == ref.dtype and x.shape == ref.shape
     assert x.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 61])
+@pytest.mark.parametrize("rhs_kind", ["real", "int"])
+def test_stacked_split_factorization_solves_bytewise_as_the_scalar_one(n, rhs_kind):
+    # the split stepper factors one copy of the main diagonal per line, so
+    # that factor rows and right-hand side rows share one shape
+    rng = np.random.default_rng(n)
+    bands = PentaBands(*stencil_coefficients(1.0 / (n + 3), 1.0, 0.5, 1.0, 0.01), n=n)
+    scalar, stacked = factor(bands.shifted(1.0)), factor(bands.shifted(np.ones(n)))
+    rhs = (rng.standard_normal((n, n)) if rhs_kind == "real"
+           else rng.integers(-5, 6, size=(n, n)))
+    x, ref = solve_line(stacked, rhs), solve_line(scalar, rhs)
+    assert x.dtype == ref.dtype and x.shape == ref.shape
+    assert x.tobytes() == ref.tobytes()
+
+
+def test_solve_line_never_hands_out_its_workspace():
+    # the sweep runs in a workspace cached on the factorization; each call
+    # must return its own array (_fixed_point takes new - x across solves)
+    rng = np.random.default_rng(10)
+    fact = factor(PentaBands(0.1, -0.3, np.array([2.0, 3.0, 4.0]), 0.2, 0.1, n=5))
+    first = solve_line(fact, rng.standard_normal((5, 3)))
+    B = rng.standard_normal((5, 3))
+    second = solve_line(fact, B)
+    assert not np.shares_memory(first, second)
+    kept = second.copy()
+    first[...] = 7.0
+    assert np.array_equal(second, kept)
+    assert np.array_equal(solve_line(fact, B), kept)
+
+
+def test_warm_solve_line_allocates_only_its_result():
+    # M = 128, the split stepper's stacked line systems: n = 125, and the
+    # result is one n x n block (the row list of the old sweep took 0.13 more)
+    n = 125
+    bands = PentaBands(*stencil_coefficients(1.0 / 128, 1.0, 0.0, 1.0, 0.01), n=n)
+    fact = factor(bands.shifted(np.ones(n)))
+    B = np.random.default_rng(12).standard_normal((n, n))
+    solve_line(fact, B)
+    tracemalloc.start()
+    try:
+        x = solve_line(fact, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * x.nbytes, peak / x.nbytes
 
 
 @pytest.mark.parametrize("shape", [(5,), (5, 4)], ids=["vector", "too-many-columns"])

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sobrlw import Axis, make_grid, sample
-from sobrlw.stencils import (half_diff, half_diff_values, second_diff,
-                             second_diff_values, wide_first, wide_second)
+from sobrlw.stencils import (WIDE_FIRST_W, WIDE_SECOND_W, five_point, half_diff,
+                             half_diff_values, second_diff, second_diff_values,
+                             wide_first, wide_first_values, wide_second,
+                             wide_second_values)
 
 G8 = make_grid(0, 1, 0, 1, 8)
 
@@ -155,3 +159,68 @@ def test_half_and_second_diff_stencil_identity():
     rhs = h * (d2[i + 1, :] - d2[i, :])
     scale = np.abs(rhs).max() + 1.0
     assert np.abs(lhs - rhs).max() <= 1e-13 * scale
+
+
+def expression_five_point(values, w, axis):
+    """The five-point sums as one expression, added left to right."""
+    v = values if axis is Axis.X else values.T
+    M = v.shape[0] - 1
+    sums = (w[0] * v[0:M - 3] + w[1] * v[1:M - 2] + w[2] * v[2:M - 1]
+            + w[3] * v[3:M] + w[4] * v[4:M + 1])
+    return sums if axis is Axis.X else sums.T
+
+
+@pytest.mark.parametrize("axis", list(Axis))
+@pytest.mark.parametrize("kind", ["float", "int"])
+def test_five_point_and_wide_values_are_bitwise_the_expression(axis, kind):
+    # the in-place accumulation must add in the expression's order
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal((13, 9)) * 10.0 ** rng.integers(-3, 4, size=(13, 9))
+    if kind == "int":
+        values = rng.integers(-50, 51, size=(13, 9))
+    for w in (WIDE_FIRST_W, WIDE_SECOND_W, rng.standard_normal(5)):
+        got, ref = five_point(values, w, axis), expression_five_point(values, w, axis)
+        assert got.shape == ref.shape and got.tobytes() == np.ascontiguousarray(ref).tobytes()
+    h = 0.37
+    for op, w, scale in ((wide_first_values, WIDE_FIRST_W, 12.0 * h),
+                         (wide_second_values, WIDE_SECOND_W, 12.0 * h * h)):
+        ref = np.zeros(values.shape)
+        inner = expression_five_point(values, w, axis) / scale
+        if axis is Axis.X:
+            ref[2:-2] = inner
+        else:
+            ref[:, 2:-2] = inner
+        assert op(values, h, axis).tobytes() == ref.tobytes()
+
+
+def warm_peak(fn):
+    """tracemalloc peak, in bytes, of the second of two calls of fn."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# M = 128: an n x n interior block, n = 125, of float64 (125 KB).  Along a
+# strided slice numpy's ufunc loop adds its buffer of 8,192 values (0.52
+# blocks); the sums written as one expression peaked at 3.0-3.1 blocks.
+G128 = make_grid(0, 1, 0, 1, 128)
+BLOCK = G128.n_interior ** 2 * 8
+
+
+def test_five_point_keeps_one_accumulator_and_one_scratch():
+    U = np.random.default_rng(14).standard_normal((129, 129))
+    s = G128.interior
+    for values, axis in ((U[:, s], Axis.X), (U[s, :], Axis.Y)):     # as the engine
+        peak = warm_peak(lambda: five_point(values, WIDE_SECOND_W, axis))
+        assert peak <= 2.6 * BLOCK, (axis, peak / BLOCK)
+
+
+@pytest.mark.parametrize("axis, bound", [(Axis.X, 2.2), (Axis.Y, 2.6)])
+def test_wide_first_values_divides_in_place(axis, bound):
+    U = np.random.default_rng(15).standard_normal((129, 129))
+    peak = warm_peak(lambda: wide_first_values(U, G128.hx, axis))
+    assert peak <= bound * BLOCK, peak / BLOCK

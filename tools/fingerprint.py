@@ -56,8 +56,9 @@ def _sin_exp():
 
 # (label, problem factory, M, SchemeConfig keywords, T or None for problem.T)
 CONFIGURATIONS = (
-    *(("example1", example1, M, {}, None) for M in (4, 8, 16, 32, 64)),
-    ("example1 split", example1, 64, {"stepper": "split"}, None),
+    *(("example1", example1, M, {}, None) for M in (4, 8, 16, 32, 64, 128)),
+    # M = 128 puts the line solves at n = 125
+    *(("example1 split", example1, M, {"stepper": "split"}, None) for M in (64, 128)),
     ("manufactured:wave T=0.125", lambda: get_problem("manufactured:wave"), 64, {}, 0.125),
     ("manufactured:poly", lambda: get_problem("manufactured:poly"), 16, {}, None),
     *((f"trig-rect {s}", _trig_rect, M, {"stepper": s}, None)
@@ -65,8 +66,12 @@ CONFIGURATIONS = (
     ("trig-rect leapfrog_alpha=off", _trig_rect, 16, {"leapfrog_alpha": "off"}, None),
     ("sin-exp", _sin_exp, 16, {}, None),
     # transport with little mass: complex x-eigenmode pairs in every solve
-    ("trig alpha=0.001 beta=1 gamma=0",
-     lambda: get_problem("manufactured:trig", 0.001, 1.0, 0.0), 8, {}, None),
+    # (at M = 64 those of alpha = 0.001 are real; alpha = 1e-6 keeps 30 pairs)
+    *(("trig alpha=0.001 beta=1 gamma=0",
+       lambda: get_problem("manufactured:trig", 0.001, 1.0, 0.0), M, {}, None)
+      for M in (8, 64)),
+    ("trig alpha=1e-6 beta=1 gamma=0",
+     lambda: get_problem("manufactured:trig", 1e-6, 1.0, 0.0), 64, {}, None),
     ("example2", example2, 16, {}, None),
     ("example3", example3, 16, {}, None),
     ("example3 split", example3, 16, {"stepper": "split"}, None),
