@@ -124,9 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
+def _merged(args: argparse.Namespace) -> dict:
     """Config-file values fill in anything the command line left unset."""
-    merged = dict(defaults)
+    merged = {}
     if getattr(args, "config", None):
         from_file = _read_config_file(args.config)
         known = set(vars(args)) - {"command", "config"}
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _merged(args, {})
+        opts = _merged(args)
         if args.command == "solve":
             return _cmd_solve(opts)
         if args.command == "convergence":

@@ -8,6 +8,7 @@ boundary-owned and are never updated by the interior scheme.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -139,12 +140,21 @@ class Field:
             raise GridMismatchError("fields live on different grids")
 
 
-def make_grid(L1: float, L2: float, L3: float, L4: float, M: int) -> Grid2D:
-    """Build a uniform grid; M >= 4 so the interior {2..M-2} is nonempty.
+def _real(value) -> bool:
+    """value is a real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
-    M >= 8 is recommended for convergence studies: at M = 4 the interior
-    is a single node and observed rates are dominated by boundary data.
+
+def make_grid(L1: float, L2: float, L3: float, L4: float, M: int) -> Grid2D:
+    """Build a uniform grid of finite bounds; M, an integer (an integral float
+    too), is at least 4 so the interior {2..M-2} is nonempty.  M >= 8 is
+    recommended for convergence studies: at M = 4 the interior is a single
+    node and observed rates are dominated by boundary data.
     """
+    if not (_real(M) and float(M).is_integer()):
+        raise ConfigurationError(f"M must be an integer, got {M!r}")
+    if not all(_real(b) and np.isfinite(b) for b in (L1, L2, L3, L4)):
+        raise ConfigurationError(f"domain bounds must be finite numbers, got {(L1, L2, L3, L4)}")
     if not (L1 < L2 and L3 < L4):
         raise ConfigurationError(
             f"degenerate domain bounds ({L1},{L2})x({L3},{L4})")

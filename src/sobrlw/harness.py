@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, make_grid, sample
+from .grid import Field, _real, make_grid, sample
 from .norms import inner, is_frame_vanishing, l2_norm, sbp_residuals
 from .problems import ProblemSpec
 from .scheme import SchemeConfig, run
@@ -70,9 +70,12 @@ def convergence_study(problem: ProblemSpec, levels: Iterable[int],
     """One solve per refinement level l (M = 2^l, h = (L2-L1)/M), k = h^(4/3).
 
     Any failing level is recorded as a failed row and the study continues;
-    a failed level breaks the rate chain across it.
+    a failed level breaks the rate chain across it.  A non-integer level,
+    or one above 6, is refused before any level runs.
     """
     levels = list(levels)
+    if not all(_real(l) and float(l).is_integer() for l in levels):
+        raise ConfigurationError(f"levels must be integers, got {levels}")
     if any(l > 6 for l in levels):
         raise ConfigurationError("levels above 6 exceed the supported desk scale")
     rows = []
@@ -130,11 +133,8 @@ class VerifyReport:
         return all(e.passed for e in self.entries)
 
     def lines(self) -> list:
-        out = []
-        for e in self.entries:
-            out.append(f"{'PASS' if e.passed else 'FAIL'}  {e.name:<44s} "
-                       f"value={e.value:.3e}  tol={e.tol:.3e}")
-        return out
+        return [f"{'PASS' if e.passed else 'FAIL'}  {e.name:<44s} "
+                f"value={e.value:.3e}  tol={e.tol:.3e}" for e in self.entries]
 
 
 def random_frame_vanishing(grid, rng) -> Field:
@@ -184,11 +184,11 @@ def verify_suite(M: int = 12, seed: int = 0, n_fields: int = 10) -> VerifyReport
     stencil consistency orders.  Identity tolerances scale as
     1e-12 * (1 + |w| |v|) so they stay meaningful for large random fields.
     """
-    if M < 8:
+    grid = make_grid(0.0, 1.0, 0.0, 1.0, M)     # refuses a non-integral M
+    if grid.M < 8:
         raise ConfigurationError(f"verification needs M >= 8, got M={M}")
-    grid = make_grid(0.0, 1.0, 0.0, 1.0, M)
     rng = np.random.default_rng(seed)
-    report = VerifyReport(M=M, seed=seed)
+    report = VerifyReport(M=grid.M, seed=seed)
     for trial in range(n_fields):
         w = random_frame_vanishing(grid, rng)
         v = random_frame_vanishing(grid, rng)
@@ -268,14 +268,14 @@ def _svg_header(w, h):
 
 def emit_svg(obj, path: str) -> None:
     """Convergence chart (list of rows) or field heatmap (Field)."""
-    if isinstance(obj, Field):
-        _emit_heatmap_svg(obj, path)
-    else:
-        _emit_rate_chart_svg(list(obj), path)
+    parts = _heatmap_svg(obj) if isinstance(obj, Field) else _rate_chart_svg(list(obj))
+    with open(path, "w") as fh:
+        fh.write("".join(parts) + "</svg>\n")
 
 
-def _emit_rate_chart_svg(rows: list, path: str) -> None:
-    """log2(1/h) vs log2(error), with a slope -8/3 guide line."""
+def _rate_chart_svg(rows: list) -> list:
+    """log2(1/h) vs log2(error), with a slope -8/3 guide line; the parts of
+    the SVG text before its closing tag."""
     W, H, pad = 480, 360, 50
     pts = [(np.log2(1.0 / r.h), np.log2(r.error))
            for r in rows if not r.failed and r.error and r.error > 0]
@@ -306,12 +306,10 @@ def _emit_rate_chart_svg(rows: list, path: str) -> None:
                      f'fill="#888">slope -8/3 guide</text>\n')
     else:
         parts.append(f'<text x="{W/2}" y="{H/2}" text-anchor="middle">no data</text>\n')
-    parts.append("</svg>\n")
-    with open(path, "w") as fh:
-        fh.write("".join(parts))
+    return parts
 
 
-def _emit_heatmap_svg(fld: Field, path: str) -> None:
+def _heatmap_svg(fld: Field) -> list:
     g = fld.grid
     M = g.M
     W = H = 420
@@ -332,9 +330,7 @@ def _emit_heatmap_svg(fld: Field, path: str) -> None:
                          f'height="{cell:.2f}" fill="rgb({r255},40,{b255})"/>\n')
     parts.append(f'<text x="{W/2:.0f}" y="{H-8}" text-anchor="middle" font-size="12">'
                  f'min={lo:.3g} max={hi:.3g}</text>\n')
-    parts.append("</svg>\n")
-    with open(path, "w") as fh:
-        fh.write("".join(parts))
+    return parts
 
 
 def make_manifest(command: str, problem: str, levels, cfg: SchemeConfig,

@@ -44,13 +44,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, PicardError
-from .grid import Field, Grid2D, TimeGrid, sample
+from .grid import Field, Grid2D, TimeGrid, _real, sample
 # h2_norm and l2_norm are bound only for the norms hooks of benchmarks/tracing.py
 # (ROADMAP item 11 re-points them); run() calls the stacked kernel _h2_reports
 from .norms import _h2_reports, h2_norm, l2_norm  # noqa: F401
@@ -87,6 +87,10 @@ class SchemeConfig:
                               ("boundary_mode", BOUNDARY_MODES)):
             if getattr(self, name) not in choices:
                 raise ConfigurationError(f"{name} must be one of {choices}")
+        k = self.k_rule
+        if not (k == "auto" if isinstance(k, str) else _real(k) and math.isfinite(k) and k > 0):
+            raise ConfigurationError(
+                f"k_rule must be 'auto' or a finite positive time step, got {k!r}")
 
 
 @dataclass
@@ -178,10 +182,10 @@ def _fixed_point(x: np.ndarray, step: Callable, what: str, t: float):
 
 
 class _Operator(NamedTuple):
-    """One kind of sub-step: (I + lhs) V = rhs(U_old) + ...
+    """One kind of sub-step: (I + lhs) V = (I + rhs) U_from + ...
 
-    lhs and rhs are (x, y) pairs of identity-free five-point stencils, None
-    where a direction is absent; solve(b) returns the interior values.
+    lhs and rhs hold one (Axis, identity-free five-point stencil) pair per
+    direction of the sub-step, X first; solve(b) returns the interior values.
     """
 
     lhs: tuple
@@ -222,46 +226,35 @@ class _Engine:
 
     # -- shared helpers ----------------------------------------------------
 
-    def _apply(self, U: np.ndarray, cx=None, cy=None) -> np.ndarray:
-        """Directional five-point sums of a full field, on the interior block."""
+    def _apply(self, U: np.ndarray, terms) -> np.ndarray:
+        """Five-point sums of a full field along each direction of terms,
+        (Axis, stencil) pairs, summed in order, on the interior block."""
         s = self.grid.interior
-        if cy is None:
-            return five_point(U[:, s], cx, Axis.X)
-        if cx is None:
-            return five_point(U[s, :], cy, Axis.Y)
-        return five_point(U[:, s], cx, Axis.X) + five_point(U[s, :], cy, Axis.Y)
+        return reduce(np.add, (five_point(U[:, s] if axis is Axis.X else U[s, :], c, axis)
+                               for axis, c in terms))
 
-    def _frame_moved(self, U: np.ndarray, cx=None, cy=None) -> np.ndarray:
-        """_apply(frame, cx, cy) for the frame of U: its layers {0,1,M-1,M}
+    def _frame_moved(self, U: np.ndarray, terms) -> np.ndarray:
+        """_apply(frame, terms) for the frame of U: its layers {0,1,M-1,M}
         with a zero interior.
 
-        Only the two interior rows (cx) and columns (cy) next to each side
-        reach the frame.  Per direction, one five_point runs over the
-        frame's first and last six nodes, two layers and four zeros at each
-        end; its first and last two sums are the strips, summed as _apply
-        sums them.  Each of these sums has a +0 term from a zero node, so
-        adding +0 from the other direction changes none of them, and the
-        +0 outside the strips is what _apply's sums of zeros give.  Where
-        the strips overlap (n < 4) this is _apply itself.
+        Per direction, one five_point runs over the two layers at each end
+        with m = min(n, 4) zeros between; its first two and last m - 2 sums
+        are the interior lines that the frame reaches (all n when n < 4),
+        and +0 fills the lines between.  The directions are summed as _apply
+        sums them: for n >= 3 each strip sum has a +0 product from an
+        interior zero, so it is never -0 and the other direction's +0 keeps
+        it (adding into one zero block would turn a -0 sum of n <= 2 to +0).
         """
         n, s = self.n, self.grid.interior
-        if n < 4:
-            frame = U.copy()
-            frame[s, s] = 0.0
-            return self._apply(frame, cx, cy)
-        moved = np.zeros((n, n))
-        if cx is not None:
-            ends = np.zeros((12, n))
-            ends[:2], ends[-2:] = U[:2, s], U[-2:, s]
-            x = five_point(ends, cx, Axis.X)
-            moved[:2], moved[-2:] = x[:2], x[-2:]
-        if cy is not None:
-            ends = np.zeros((n, 12))
-            ends[:, :2], ends[:, -2:] = U[s, :2], U[s, -2:]
-            y = five_point(ends, cy, Axis.Y)
-            moved[:, :2] += y[:, :2]
-            moved[:, -2:] += y[:, -2:]
-        return moved
+        m = min(n, 4)
+
+        def strips(axis, c):
+            lines = axis_first(U, axis)[:, s]
+            ends = np.concatenate((lines[:2], np.zeros((m, n)), lines[-2:]))
+            sums = five_point(ends, c, Axis.X)
+            return axis_first(np.concatenate((sums[:2], np.zeros((n - m, n)), sums[2:])), axis)
+
+        return reduce(np.add, (strips(axis, c) for axis, c in terms))
 
     def source(self, axis: Axis, t: float, U: np.ndarray) -> np.ndarray:
         """f1 (axis X) or f2 (axis Y) of the full field U at time t, on the
@@ -287,12 +280,12 @@ class _Engine:
         point in V.  Records its solves: 1, or the iterations.
         """
         s = self.grid.interior
-        rhs = sum(terms, U_from[s, s] + self._apply(U_from, *op.rhs))
+        rhs = sum(terms, U_from[s, s] + self._apply(U_from, op.rhs))
         if not np.isfinite(rhs).all():
             raise BlowUpError(f"non-finite right-hand side at t={t_next:g}", level=t_next)
         Un = fill_boundary_layers(U_from, t_next, self.problem, self.grid,
                                   self.cfg.boundary_mode)
-        moved = self._frame_moved(Un, *op.lhs)
+        moved = self._frame_moved(Un, op.lhs)
         if implicit is None:
             new, its = op.solve(rhs - moved), 1
         else:
@@ -321,13 +314,11 @@ class _CoupledEngine(_Engine):
     def _build(self):
         g, p, k, n = self.grid, self.problem, self.k, self.n
         self._ops = {}
-        def both(th):
-            return (stencil_coefficients(g.hx, self.a_mass, p.beta, p.gamma, th),
-                    stencil_coefficients(g.hy, self.a_mass, p.beta, p.gamma, th))
-
         for tag, theta in (("startup", k / 4.0), ("chain", k / 2.0)):
-            lhs, rhs = both(theta), both(-self.s * theta)
-            solver = TensorLineSolver(PentaBands(*lhs[0], n=n), PentaBands(*lhs[1], n=n))
+            lhs, rhs = (((Axis.X, stencil_coefficients(g.hx, self.a_mass, p.beta, p.gamma, th)),
+                         (Axis.Y, stencil_coefficients(g.hy, self.a_mass, p.beta, p.gamma, th)))
+                        for th in (theta, -self.s * theta))
+            solver = TensorLineSolver(*(PentaBands(*c, n=n) for _, c in lhs))
             self._ops[tag] = _Operator(lhs, rhs, solver.solve)
 
     def startup(self, U0: np.ndarray) -> np.ndarray:
@@ -351,22 +342,22 @@ class _SplitEngine(_Engine):
         g, p, k, n = self.grid, self.problem, self.k, self.n
         th = k / 4.0
 
-        def line_op(axis, lhs, rhs):
+        def line_op(lhs, rhs):
             # stacked, one main diagonal per line: factor rows take the
             # shape of the (n, n) right-hand side rows, with no broadcast
-            fact = factor(PentaBands(*lhs[axis.value], n=n).shifted(np.ones(n)))
+            (axis, c), = lhs
+            fact = factor(PentaBands(*c, n=n).shifted(np.ones(n)))
             return _Operator(lhs, rhs, partial(_line_solve, fact, axis))
 
         self._ops = {}
         for axis, h in ((Axis.X, g.hx), (Axis.Y, g.hy)):
-            def along(theta, axis=axis, h=h):
-                c = stencil_coefficients(h, p.alpha, p.beta, p.gamma, theta)
-                return (c, None) if axis is Axis.X else (None, c)
-            self._ops[axis] = line_op(axis, along(th), along(-self.s * th))
-        mass = (stencil_coefficients(g.hx, self.a_mass, 0.0, 0.0, 0.0), None)
-        self._ops["leapfrog"] = line_op(Axis.X, mass, mass)
+            self._ops[axis] = line_op(*(
+                ((axis, stencil_coefficients(h, p.alpha, p.beta, p.gamma, theta)),)
+                for theta in (th, -self.s * th)))
+        mass = ((Axis.X, stencil_coefficients(g.hx, self.a_mass, 0.0, 0.0, 0.0)),)
+        self._ops["leapfrog"] = line_op(mass, mass)
         # +(gamma*wide_second - beta*wide_first), the explicit middle term
-        self._c_mid = -stencil_coefficients(g.hx, 0.0, p.beta, p.gamma, 1.0)
+        self._c_mid = ((Axis.X, -stencil_coefficients(g.hx, 0.0, p.beta, p.gamma, 1.0)),)
 
     def cn(self, axis: Axis, U_from: np.ndarray, t_from: float) -> np.ndarray:
         """Directional trapezoidal half-step (x carries f1, y carries f2)."""

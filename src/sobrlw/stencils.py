@@ -54,8 +54,10 @@ def half_diff_values(values: np.ndarray, h: float, axis: Axis) -> np.ndarray:
     """Half-point differences; entry m holds the value at m + 1/2.
 
     values may carry leading stack axes (see _along); so may _second_diff's.
+    Both keep a float dtype of values, and difference integers in float64.
     """
-    d = np.subtract(_along(values, axis, slice(1, None)), _along(values, axis, slice(None, -1)))
+    d = np.subtract(_along(values, axis, slice(1, None)), _along(values, axis, slice(None, -1)),
+                    dtype=np.result_type(values, 1.0))
     return np.divide(d, h, d)
 
 
@@ -63,7 +65,7 @@ def _second_diff(values: np.ndarray, h: float, axis: Axis) -> np.ndarray:
     """Second differences at nodes 1..L-1 along axis, for L + 1 nodes there."""
     # (v[2:] - 2 v[1:-1]) + v[:-2], in that order, in one array: a stack of
     # fields makes each temporary as large as the stack
-    d = np.multiply(2, _along(values, axis, slice(1, -1)))
+    d = np.multiply(2, _along(values, axis, slice(1, -1)), dtype=np.result_type(values, 1.0))
     np.subtract(_along(values, axis, slice(2, None)), d, d)
     np.add(d, _along(values, axis, slice(None, -2)), d)
     return np.divide(d, h * h, d)

@@ -5,7 +5,7 @@ loops) and shares no code path with the package internals it checks.
 """
 import numpy as np
 
-from sobrlw.stencils import WIDE_FIRST_W, WIDE_SECOND_W
+from sobrlw.stencils import WIDE_FIRST_W, WIDE_SECOND_W, Axis, five_point
 
 
 def dense_gauss_solve(A, b):
@@ -58,6 +58,18 @@ def directional_coeffs(h, a, beta, gamma, theta):
     """Stencil of -(a + theta*gamma)*wide_second + theta*beta*wide_first."""
     return (-(a + theta * gamma) / (12.0 * h * h)) * WIDE_SECOND_W \
         + (theta * beta / (12.0 * h)) * WIDE_FIRST_W
+
+
+def directional_sums(U, cx, cy):
+    """Five-point sums of a full field on its interior block {2..M-2}^2:
+    along X with stencil cx, along Y with cy, or the X sums plus the Y
+    sums; None stands for a missing direction."""
+    s = slice(2, U.shape[0] - 2)
+    if cy is None:
+        return five_point(U[:, s], cx, Axis.X)
+    if cx is None:
+        return five_point(U[s, :], cy, Axis.Y)
+    return five_point(U[:, s], cx, Axis.X) + five_point(U[s, :], cy, Axis.Y)
 
 
 def constrained_2d_solve(M, cx, cy, rhs_full, frame_values):

@@ -23,8 +23,9 @@ def tool():
 def test_fingerprints_repeat_and_a_changed_one_exits_1(tool, tmp_path, capsys):
     assert tool.main(["--M", "8"]) == 0
     first = json.loads(capsys.readouterr().out)
-    # the 17 run labels and the CLI solve say their M; the two studies their levels
-    assert len(first) == 20 and sum(name.endswith(" M=8") for name in first) == 18
+    # the 17 run labels, the CLI solve and the 7 sub-step labels say their M;
+    # the two studies their levels
+    assert len(first) == 27 and sum(name.endswith(" M=8") for name in first) == 25
     old = tmp_path / "old.json"
     old.write_text(json.dumps(first))
     assert tool.main(["--M", "8", "--against", str(old)]) == 0

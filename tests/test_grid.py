@@ -31,6 +31,30 @@ def test_make_grid_rejects_degenerate_bounds():
         make_grid(0, 1, 2, 1, 8)
 
 
+@pytest.mark.parametrize("M", [8.7, "8", True, None, float("nan"), float("inf")],
+                         ids=["8.7", "str", "bool", "None", "nan", "inf"])
+def test_make_grid_refuses_a_non_integral_boolean_or_non_numeric_M(M):
+    # 8.7 used to build M = 8, "8" and None ended in a raw TypeError
+    with pytest.raises(ConfigurationError, match=r"M must be an integer, got "):
+        make_grid(0, 1, 0, 1, M)
+
+
+@pytest.mark.parametrize("bounds", [(0, np.inf, 0, 1), (-np.inf, 1, 0, 1),
+                                    (0, 1, 0, np.inf), (0, 1, np.nan, 1), (0, "1", 0, 1)],
+                         ids=["L2=inf", "L1=-inf", "L4=inf", "L3=nan", "str"])
+def test_make_grid_refuses_non_finite_bounds(bounds):
+    # an infinite bound used to be accepted, and run() then failed at x = nan
+    with pytest.raises(ConfigurationError, match="domain bounds must be finite numbers"):
+        make_grid(*bounds, 8)
+
+
+@pytest.mark.parametrize("M", [8, np.int64(8), 8.0, np.float64(8.0)],
+                         ids=["int", "int64", "float", "float64"])
+def test_make_grid_takes_an_integral_M_of_any_numeric_type(M):
+    g = make_grid(0, 1, 0, 1, M)
+    assert g == make_grid(0.0, 1.0, 0.0, 1.0, 8) and type(g.M) is int
+
+
 def test_make_grid_pure():
     assert make_grid(0, 2, -1, 1, 10) == make_grid(0, 2, -1, 1, 10)
 

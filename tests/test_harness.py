@@ -85,6 +85,25 @@ def test_convergence_study_rejects_oversized_level():
         convergence_study(example1(), [7], SchemeConfig())
 
 
+@pytest.mark.parametrize("levels", [[2.5, 3], ["3"], [True, 3], [3, None]],
+                         ids=["2.5", "str", "bool", "None"])
+def test_convergence_study_refuses_a_non_integer_level_before_any_level_runs(
+        monkeypatch, levels):
+    # level 2.5 used to run M = 5 and report h = 2^-2.5
+    from sobrlw import ConfigurationError, harness
+    monkeypatch.setattr(harness, "run", lambda *a, **kw: pytest.fail("a level ran"))
+    with pytest.raises(ConfigurationError, match=r"levels must be integers, got \["):
+        convergence_study(example1(), levels)
+
+
+@pytest.mark.parametrize("M", [8.5, "8"], ids=["8.5", "str"])
+def test_verify_suite_refuses_a_non_integral_M(M):
+    # M = 8.5 used to run M = 8 and report M = 8.5; "8" ended in a raw TypeError
+    from sobrlw import ConfigurationError
+    with pytest.raises(ConfigurationError, match=f"M must be an integer, got {M!r}"):
+        verify_suite(M=M, n_fields=1)
+
+
 def test_verify_suite_passes_across_seeds_and_sizes():
     for M in (8, 12, 16):
         for seed in range(10):

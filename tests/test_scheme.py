@@ -5,10 +5,10 @@ import pytest
 
 from sobrlw import (BlowUpError, ConfigurationError, Field, PicardError,
                     ProblemSpec, SchemeConfig, SchemeState, advance,
-                    cn_x_step, cn_y_step, example1, example2, example3,
-                    fill_boundary_layers, get_problem, init_half_step,
-                    l2_norm, leapfrog_x_step, make_grid, manufactured, run,
-                    sample, time_step_rule)
+                    cn_x_step, cn_y_step, directional_energy, example1,
+                    example2, example3, fill_boundary_layers, get_problem,
+                    init_half_step, inner, l2_norm, leapfrog_x_step,
+                    make_grid, manufactured, run, sample, time_step_rule)
 from sobrlw import penta, scheme
 from sobrlw.harness import random_frame_vanishing
 from sobrlw.problems import MANUFACTURED_PRESETS
@@ -16,8 +16,8 @@ from sobrlw.scheme import make_time_grid
 from sobrlw.stencils import Axis
 
 from _oracles import (OBSERVED_SERIES, constrained_2d_solve,
-                      directional_coeffs, mesh_fill_boundary_layers,
-                      per_field_observe)
+                      directional_coeffs, directional_sums,
+                      mesh_fill_boundary_layers, per_field_observe)
 
 CFG_COUPLED = SchemeConfig()
 CFG_SPLIT = SchemeConfig(stepper="split")
@@ -159,28 +159,69 @@ def test_fill_on_open_coordinates_is_bitwise_the_mesh_fill(make, mode):
 # frame and sources on the cells that read them
 
 
-@pytest.mark.parametrize("coeffs", [(0.6, 0.5, 0.7), (0.001, -1.0, -1.0)],
-                         ids=["trig-rect", "alpha+theta*gamma<0"])
-@pytest.mark.parametrize("cfg", [CFG_COUPLED, CFG_SPLIT], ids=["coupled", "split"])
-@pytest.mark.parametrize("L4", [1.0, 0.6], ids=["square", "rect"])
-@pytest.mark.parametrize("M", range(4, 10))
-def test_frame_strips_are_bitwise_the_full_stencil_sums(M, L4, cfg, coeffs):
-    # layers random, zero or negative zero; the interior of U is random and
-    # must not be read
+def engine_terms(M, L4, cfg, coeffs):
+    """An engine on the trig problem and every direction list it holds: the
+    lhs and rhs of each operator and, for the split stepper, _c_mid."""
     p = manufactured(*coeffs, MANUFACTURED_PRESETS["trig"], bounds=(0.0, 1.0, 0.0, L4))
     g = make_grid(0.0, 1.0, 0.0, L4, M)
     eng = scheme._engine(p, g, cfg, time_step_rule(g.hx, g.hy))
+    terms = [t for op in eng._ops.values() for t in (op.lhs, op.rhs)]
+    return eng, terms + ([eng._c_mid] if cfg.stepper == "split" else [])
+
+
+def as_pair(terms):
+    """(cx, cy) of a direction list, None for a direction it lacks."""
+    stencils = dict(terms)
+    assert list(stencils) in ([Axis.X], [Axis.Y], [Axis.X, Axis.Y])
+    return stencils.get(Axis.X), stencils.get(Axis.Y)
+
+
+TERM_CASES = (
+    pytest.mark.parametrize("coeffs", [(0.6, 0.5, 0.7), (0.001, -1.0, -1.0)],
+                            ids=["trig-rect", "alpha+theta*gamma<0"]),
+    pytest.mark.parametrize("cfg", [CFG_COUPLED, CFG_SPLIT], ids=["coupled", "split"]),
+    pytest.mark.parametrize("L4", [1.0, 0.6], ids=["square", "rect"]),
+    pytest.mark.parametrize("M", range(4, 10)),
+)
+
+
+def with_term_cases(test):
+    for mark in reversed(TERM_CASES):     # as if stacked as decorators
+        test = mark(test)
+    return test
+
+
+@with_term_cases
+def test_frame_strips_are_bitwise_the_full_stencil_sums(M, L4, cfg, coeffs):
+    # layers random, zero, negative zero or zeros of random sign (with n <= 2
+    # interior nodes a strip sum can be -0); the interior of U is random and
+    # must not be read
+    eng, terms = engine_terms(M, L4, cfg, coeffs)
     rng = np.random.default_rng(M)
-    s = g.interior
-    for op in eng._ops.values():
-        for layers in (rng.standard_normal((M + 1, M + 1)), np.zeros((M + 1, M + 1)),
-                       np.full((M + 1, M + 1), -0.0)):
-            U = layers.copy()
-            U[s, s] = rng.standard_normal((M - 3, M - 3))
-            frame = layers.copy()
-            frame[s, s] = 0.0
-            moved = eng._frame_moved(U, *op.lhs)
-            assert moved.tobytes() == eng._apply(frame, *op.lhs).tobytes()
+    s, shape = eng.grid.interior, (M + 1, M + 1)
+    signed_zeros = [np.where(rng.random(shape) < 0.5, 0.0, -0.0) for _ in range(20)]
+    for layers in (rng.standard_normal(shape), np.zeros(shape), np.full(shape, -0.0),
+                   *signed_zeros):
+        U = layers.copy()
+        U[s, s] = rng.standard_normal((M - 3, M - 3))
+        frame = layers.copy()
+        frame[s, s] = 0.0
+        for t in terms:
+            moved = eng._frame_moved(U, t)
+            assert moved.tobytes() == directional_sums(frame, *as_pair(t)).tobytes()
+
+
+@with_term_cases
+def test_apply_is_bitwise_the_directional_sums(M, L4, cfg, coeffs):
+    # one- and two-direction lists, on a field with zeros of both signs
+    eng, terms = engine_terms(M, L4, cfg, coeffs)
+    rng = np.random.default_rng(M)
+    U = rng.standard_normal((M + 1, M + 1))
+    U[rng.random(U.shape) < 0.3] = -0.0
+    U[rng.random(U.shape) < 0.3] = 0.0
+    assert {len(t) for t in terms} == ({2} if cfg.stepper == "coupled" else {1})
+    for t in terms:
+        assert eng._apply(U, t).tobytes() == directional_sums(U, *as_pair(t)).tobytes()
 
 
 @pytest.mark.parametrize("cfg", [CFG_COUPLED, CFG_SPLIT], ids=["coupled", "split"])
@@ -204,6 +245,20 @@ def test_sources_receive_interior_blocks(cfg):
         assert np.shape(X_) == (n, 1) and X_.tobytes() == X[s].tobytes()
         assert np.shape(Y_) == (1, n) and Y_.tobytes() == Y[:, s].tobytes()
         assert np.shape(U) == np.shape(UZ) == (n, n)
+
+
+@pytest.mark.parametrize("k_rule", ["fast", None, [0.1], True, 0.0, -0.1, np.inf, np.nan],
+                         ids=["str", "None", "list", "bool", "zero", "negative", "inf", "nan"])
+def test_scheme_config_refuses_a_k_rule_other_than_auto_or_a_positive_step(k_rule):
+    # "fast", None and [0.1] used to end run() in a raw ValueError or
+    # TypeError, and True ran with k = 1
+    with pytest.raises(ConfigurationError, match="k_rule must be 'auto' or a finite positive"):
+        SchemeConfig(k_rule=k_rule)
+
+
+def test_scheme_config_takes_auto_or_a_positive_step():
+    for k_rule in ("auto", 0.1, 1, np.float64(0.1)):
+        assert SchemeConfig(k_rule=k_rule).k_rule == k_rule
 
 
 # --------------------------------------------------------------------------
@@ -261,6 +316,31 @@ def test_coupled_run_energy_never_increases_with_dissipation(seed, grid):
     assert not rec.failed and len(energy) == rec.N + 1
     assert all(b <= a * (1 + 1e-12) for a, b in zip(energy, energy[1:]))
     assert energy[-1] < 0.9 * energy[0]
+
+
+@pytest.mark.parametrize("L4", [1.0, 0.6], ids=["square", "rect"])
+@pytest.mark.parametrize("beta", [0.8, -0.4])
+@pytest.mark.parametrize("gamma", [0.0, 0.7])
+@pytest.mark.parametrize("axis", list(Axis))
+def test_split_substeps_keep_the_directional_energy_identity(axis, gamma, beta, L4):
+    # with f = 0 and a zero frame, the z-trapezoid (I - alpha D2) (V - U) =
+    # (k/4) (gamma D2 - beta D1) (V + U) gives, by summation by parts,
+    # E_z(V) - E_z(U) = -(k/4) gamma (|half_z w|^2 + (h_z^2/12)|second_z w|^2)
+    # with w = V + U: the transport drops out, and gamma = 0 conserves E_z
+    grid = make_grid(0, 1, 0, L4, 16)
+    p = replace(free_problem(np.random.default_rng(5), grid, gamma), alpha=0.6, beta=beta)
+    U = Field(grid, p.u0(None, None))
+    k = time_step_rule(grid.hx, grid.hy)
+    step = cn_x_step if axis is Axis.X else cn_y_step
+    V = step(U, 0.3, k, p, SchemeConfig(stepper="split", boundary_mode="paper_copy"))
+    z, h = ("x", grid.hx) if axis is Axis.X else ("y", grid.hy)
+    w = Field(grid, V.values + U.values)
+    loss = (k / 4.0) * gamma * (inner(w, w, f"half_{z}")
+                                + (h * h / 12.0) * inner(w, w, f"second_{z}"))
+    e_U, e_V = directional_energy(U, axis, 0.6), directional_energy(V, axis, 0.6)
+    assert abs((e_V - e_U) + loss) <= 1e-12 * e_U
+    assert np.abs(V.values - U.values).max() > 1e-4     # it moved
+    assert (loss > 1e-3 * e_U) == (gamma > 0)
 
 
 def test_sups_are_read_only_maxima_of_the_level_series():

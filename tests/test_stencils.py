@@ -173,7 +173,8 @@ def expression_five_point(values, w, axis):
 @pytest.mark.parametrize("axis", list(Axis))
 @pytest.mark.parametrize("kind", ["float", "int"])
 def test_five_point_and_wide_values_are_bitwise_the_expression(axis, kind):
-    # the in-place accumulation must add in the expression's order
+    # the in-place accumulation must add in the expression's order; integer
+    # values give float differences
     rng = np.random.default_rng(13)
     values = rng.standard_normal((13, 9)) * 10.0 ** rng.integers(-3, 4, size=(13, 9))
     if kind == "int":
@@ -191,6 +192,14 @@ def test_five_point_and_wide_values_are_bitwise_the_expression(axis, kind):
         else:
             ref[:, 2:-2] = inner
         assert op(values, h, axis).tobytes() == ref.tobytes()
+    v = values if axis is Axis.X else values.T
+    half = (v[1:] - v[:-1]) / h
+    second = np.zeros(v.shape)
+    second[1:-1] = ((v[2:] - 2 * v[1:-1]) + v[:-2]) / (h * h)
+    for got, ref in ((half_diff_values(values, h, axis), half),
+                     (second_diff_values(values, h, axis), second)):
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.ascontiguousarray(ref if axis is Axis.X else ref.T).tobytes()
 
 
 def warm_peak(fn):

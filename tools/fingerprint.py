@@ -21,6 +21,11 @@ Three more fingerprints cover what lies outside `run()`: the rows of one
 `repr`, which round-trips each float), and the bytes of the files that one
 `sobrlw solve --out --dump-at --svg` and one `sobrlw convergence --out --svg`
 write into a temporary directory.
+
+Seven more hash the public single sub-steps on the 1 x 0.6 trig rectangle
+at M = 16 (or the M given): `init_half_step` and `advance` with each
+stepper, and `cn_x_step`, `cn_y_step` and `leapfrog_x_step`, each the
+first 16 hex digits of a SHA-256 over the bytes of the fields returned.
 """
 from __future__ import annotations
 
@@ -36,8 +41,10 @@ from pathlib import Path
 
 import numpy as np
 
-from sobrlw import (ConvergenceRow, SchemeConfig, convergence_study, example1,
-                    example2, example3, get_problem, make_grid, manufactured, run)
+from sobrlw import (ConvergenceRow, SchemeConfig, SchemeState, advance, cn_x_step,
+                    cn_y_step, convergence_study, example1, example2, example3,
+                    get_problem, init_half_step, leapfrog_x_step, make_grid,
+                    manufactured, run, sample, time_step_rule)
 from sobrlw.cli import main as cli_main
 from sobrlw.problems import MANUFACTURED_PRESETS
 
@@ -125,6 +132,31 @@ def cli_fingerprint(argv, outputs) -> str:
     return digest.hexdigest()[:16]
 
 
+def substep_fingerprints(M: int) -> dict:
+    """Fingerprint of each public single sub-step on the trig rectangle at M,
+    each from the problem's own fields at t = 0, k/2 and k."""
+    p = _trig_rect()
+    grid = make_grid(p.L1, p.L2, p.L3, p.L4, M)
+    k = time_step_rule(grid.hx, grid.hy)
+    U0 = sample(grid, lambda X, Y, t: p.u0(X, Y))
+    U1 = sample(grid, p.exact, k)
+    coupled, split = SchemeConfig(), SchemeConfig(stepper="split")
+    half = init_half_step(U0, p, k, split)
+    state = SchemeState(n=1, U_half=half, U_int=U1)
+    advanced = {name: advance(state, p, k, cfg)
+                for name, cfg in (("coupled", coupled), ("split", split))}
+    results = {
+        "init_half_step coupled": [init_half_step(U0, p, k, coupled)],
+        "init_half_step split": [half],
+        "cn_x_step": [cn_x_step(U1, k, k, p, split)],
+        "cn_y_step": [cn_y_step(half, 0.5 * k, k, p, split)],
+        "leapfrog_x_step": [leapfrog_x_step(half, U1, k, k, p, split)],
+        **{f"advance {name}": [new.U_half, new.U_int] for name, new in advanced.items()},
+    }
+    return {f"{label} trig-rect M={M}": _digest(*(f.values for f in out))[:16]
+            for label, out in results.items()}
+
+
 def fingerprints(M=None) -> dict:
     """Fingerprint of every configuration, at its own M or at the given one."""
     out = {}
@@ -147,6 +179,7 @@ def fingerprints(M=None) -> dict:
         ["convergence", "--problem", "example1", "--levels", "2..4",
          "--out", "table.csv", "--svg", "rates.svg"],
         ["table.csv", "rates.svg"])
+    out.update(substep_fingerprints(size))
     return out
 
 
