@@ -145,6 +145,11 @@ def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _positive(value) -> bool:
+    """value is a finite positive real number other than a bool."""
+    return _real(value) and bool(np.isfinite(value)) and value > 0
+
+
 def make_grid(L1: float, L2: float, L3: float, L4: float, M: int) -> Grid2D:
     """Build a uniform grid of finite bounds; M, an integer (an integral float
     too), is at least 4 so the interior {2..M-2} is nonempty.  M >= 8 is

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, _real, make_grid, sample
+from .grid import Field, _positive, _real, make_grid, sample
 from .norms import inner, is_frame_vanishing, l2_norm, sbp_residuals
 from .problems import ProblemSpec
 from .scheme import SchemeConfig, run
@@ -71,13 +71,17 @@ def convergence_study(problem: ProblemSpec, levels: Iterable[int],
 
     Any failing level is recorded as a failed row and the study continues;
     a failed level breaks the rate chain across it.  A non-integer level,
-    or one above 6, is refused before any level runs.
+    one above 6, or a horizon T that is not finite and positive is refused
+    before any level runs.  The rows read only l2 norms, so each level
+    runs with h2=False.
     """
     levels = list(levels)
     if not all(_real(l) and float(l).is_integer() for l in levels):
         raise ConfigurationError(f"levels must be integers, got {levels}")
     if any(l > 6 for l in levels):
         raise ConfigurationError("levels above 6 exceed the supported desk scale")
+    if T is not None and not _positive(T):
+        raise ConfigurationError(f"T must be a finite positive horizon, got T={T!r}")
     rows = []
     prev_error = None
     for l in levels:
@@ -85,7 +89,7 @@ def convergence_study(problem: ProblemSpec, levels: Iterable[int],
         h = (problem.L2 - problem.L1) / M
         try:
             grid = make_grid(problem.L1, problem.L2, problem.L3, problem.L4, M)
-            rec = run(problem, grid, cfg, T=T)
+            rec = run(problem, grid, cfg, T=T, h2=False)
             failed, k, note = rec.failed, rec.k, rec.failure
         except ConfigurationError as exc:
             failed, k, note = True, None, str(exc)

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import make_grid
+from .grid import _positive, make_grid
 
 _DIFF_STEP = 1e-2   # step for the high-order finite differences below
 
@@ -34,7 +34,12 @@ class ProblemSpec:
     broadcasts the result: the initial state, the boundary fill, the
     observed norms, the slice CSV and compatibility_mismatch.  f1 and f2
     get the open coordinates of the interior {2..M-2}^2, with U and the
-    wide first derivative as interior blocks.
+    wide first derivative as interior blocks.  A spec whose f1 and f2 never
+    read their fifth argument sets sources_read_derivative False: the
+    steppers then pass None there and do not compute the derivative
+    (dataclasses.replace keeps the field, so set it again with new sources).
+
+    The bounds L1 < L2 and L3 < L4 and the horizon T > 0 must be finite.
     """
 
     name: str
@@ -52,6 +57,7 @@ class ProblemSpec:
     L4: float = 1.0
     T: float = 1.0
     g_extends: bool = True   # g is a formula valid on the whole closure
+    sources_read_derivative: bool = True     # f1, f2 read UX, UY
 
     def __post_init__(self):
         if not all(math.isfinite(c) for c in (self.alpha, self.beta, self.gamma)):
@@ -68,6 +74,11 @@ class ProblemSpec:
         if not (self.L1 < self.L2 and self.L3 < self.L4):      # NaN fails too
             raise ConfigurationError(f"degenerate domain bounds ({self.L1},{self.L2})"
                                      f"x({self.L3},{self.L4})")
+        bounds = (self.L1, self.L2, self.L3, self.L4)
+        if not all(math.isfinite(b) for b in bounds):
+            raise ConfigurationError(f"domain bounds must be finite, got {bounds}")
+        if not _positive(self.T):
+            raise ConfigurationError(f"T must be a finite positive horizon, got T={self.T!r}")
 
     def compatibility_mismatch(self, M: int = 16) -> float:
         """Max |u0 - exact(.,0)| and |g - exact| on the boundary, sampled."""
@@ -99,7 +110,7 @@ def example1() -> ProblemSpec:
         f2=lambda X, Y, t, U, UY: -0.5 * U,
         u0=lambda X, Y: np.sin(np.pi * X) * np.sin(np.pi * Y),
         g=lambda X, Y, t: np.zeros_like(X),
-        exact=exact)
+        exact=exact, sources_read_derivative=False)
 
 
 def example2() -> ProblemSpec:
@@ -126,7 +137,7 @@ def example2() -> ProblemSpec:
         f1=f1, f2=f2,
         u0=lambda X, Y: np.sin(np.pi * X) * np.sin(np.pi * Y) * np.exp(X + Y),
         g=lambda X, Y, t: np.zeros_like(X),
-        exact=exact)
+        exact=exact, sources_read_derivative=False)
 
 
 def example3() -> ProblemSpec:
@@ -226,6 +237,8 @@ def manufactured(alpha: float, beta: float, gamma: float, exact_u: Callable,
     is computed from exact_u by sixth-order central differences with step
     1e-2 (nested for u_txx and u_tyy) and split as: f1 takes the
     x-derivative terms plus half of u_t, f2 the y terms plus the other half.
+    Neither reads U or its derivative, so the spec declares
+    sources_read_derivative False.
 
     exact_u(X, Y, t) must be elementwise in X and Y and broadcast over a
     leading axis: the sources call it with a scalar t and a stack of seven
@@ -247,7 +260,8 @@ def manufactured(alpha: float, beta: float, gamma: float, exact_u: Callable,
         u0=lambda X, Y: exact_u(X, Y, 0.0),
         g=lambda X, Y, t: exact_u(X, Y, t),
         exact=exact_u,
-        L1=bounds[0], L2=bounds[1], L3=bounds[2], L4=bounds[3], T=T)
+        L1=bounds[0], L2=bounds[1], L3=bounds[2], L4=bounds[3], T=T,
+        sources_read_derivative=False)
 
 
 @dataclass(frozen=True)

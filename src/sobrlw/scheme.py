@@ -50,10 +50,12 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, PicardError
-from .grid import Field, Grid2D, TimeGrid, _real, sample
+from .grid import Field, Grid2D, TimeGrid, _positive, _real, sample
 # h2_norm and l2_norm are bound only for the norms hooks of benchmarks/tracing.py
 # (ROADMAP item 11 re-points them); run() calls the stacked kernel _h2_reports
-from .norms import _h2_reports, h2_norm, l2_norm  # noqa: F401
+# or, with h2=False, its l2 rows
+from .norms import (_h2_reports, _interior_block, _sq_sums,  # noqa: F401
+                    h2_norm, l2_norm)
 from .penta import (PentaBands, TensorLineSolver, factor, solve_line,
                     stencil_coefficients)
 from .problems import ProblemSpec
@@ -88,7 +90,7 @@ class SchemeConfig:
             if getattr(self, name) not in choices:
                 raise ConfigurationError(f"{name} must be one of {choices}")
         k = self.k_rule
-        if not (k == "auto" if isinstance(k, str) else _real(k) and math.isfinite(k) and k > 0):
+        if not (k == "auto" if isinstance(k, str) else _positive(k)):
             raise ConfigurationError(
                 f"k_rule must be 'auto' or a finite positive time step, got {k!r}")
 
@@ -228,10 +230,13 @@ class _Engine:
 
     def _apply(self, U: np.ndarray, terms) -> np.ndarray:
         """Five-point sums of a full field along each direction of terms,
-        (Axis, stencil) pairs, summed in order, on the interior block."""
+        (Axis, stencil) pairs, summed in order, on the interior block.  The
+        X sums run over whole contiguous rows before the interior columns
+        are taken, which keeps each element's operations and spares numpy
+        a buffered pass over a strided operand."""
         s = self.grid.interior
-        return reduce(np.add, (five_point(U[:, s] if axis is Axis.X else U[s, :], c, axis)
-                               for axis, c in terms))
+        return reduce(np.add, (five_point(U, c, axis)[:, s] if axis is Axis.X
+                               else five_point(U[s, :], c, axis) for axis, c in terms))
 
     def _frame_moved(self, U: np.ndarray, terms) -> np.ndarray:
         """_apply(frame, terms) for the frame of U: its layers {0,1,M-1,M}
@@ -260,12 +265,14 @@ class _Engine:
         """f1 (axis X) or f2 (axis Y) of the full field U at time t, on the
         interior block: the source gets the open interior coordinates (X an
         n x 1 column, Y a 1 x n row), and U and its wide first derivative
-        along axis as n x n interior blocks."""
-        g, s = self.grid, self.grid.interior
-        if axis is Axis.X:
-            fsrc, d = self.problem.f1, wide_first_values(U[:, s], g.hx, axis)[s]
-        else:
-            fsrc, d = self.problem.f2, wide_first_values(U[s, :], g.hy, axis)[:, s]
+        along axis as n x n interior blocks; None in place of the
+        derivative when the problem's sources do not read it."""
+        g, s, p = self.grid, self.grid.interior, self.problem
+        d = None
+        if p.sources_read_derivative:
+            d = (wide_first_values(U[:, s], g.hx, axis)[s] if axis is Axis.X
+                 else wide_first_values(U[s, :], g.hy, axis)[:, s])
+        fsrc = p.f1 if axis is Axis.X else p.f2
         return np.asarray(fsrc(self.X, self.Y, t, U[s, s], d), dtype=float)
 
     def f_total(self, t: float, U: np.ndarray) -> np.ndarray:
@@ -457,7 +464,8 @@ class SolutionRecord:
 
     l2_* and h2_* hold the l2 and weighted-H2 norms of U, of the reference u
     and of the error u - U (these two need a reference) at each level in
-    times; sup_* are their read-only maxima, 0.0 for an empty series.  A
+    times; sup_* are their read-only maxima, 0.0 for an empty series (the
+    h2_* series stay empty in a run made with h2=False).  A
     failed run keeps the levels before the failure, names it and its level
     in failure (BlowUpError, PicardError), and leaves final None.
     """
@@ -485,14 +493,22 @@ class SolutionRecord:
 
 
 def run(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig = SchemeConfig(),
-        T: Optional[float] = None, dump_times=()) -> SolutionRecord:
+        T: Optional[float] = None, dump_times=(), h2: bool = True) -> SolutionRecord:
     """Integrate to T, tracking norms over the integer levels n = 0..N and a
-    snapshot at each dump time, which must lie in [0, T]."""
+    snapshot at each dump time, a real number in [0, T].
+
+    With h2=False only the l2 norms are observed (the same bits) and the
+    h2_* series stay empty, for callers that read no weighted-H2 norm.
+    """
     T = problem.T if T is None else float(T)
     tg = resolve_time_grid(grid, cfg, T)
     k, N = tg.k, tg.N
     end = max(T, N * k)     # N k, the time of the last level, may round above T
-    dump_left = sorted(float(t) for t in dump_times)
+    dump_left = list(dump_times)
+    unreal = [t for t in dump_left if not _real(t)]
+    if unreal:
+        raise ConfigurationError(f"dump times must be real numbers, got {unreal}")
+    dump_left = sorted(map(float, dump_left))
     outside = [t for t in dump_left if not 0.0 <= t <= end]     # NaN too
     if outside:
         raise ConfigurationError(f"dump times {outside} lie outside [0, T={T:g}]")
@@ -513,9 +529,13 @@ def run(problem: ProblemSpec, grid: Grid2D, cfg: SchemeConfig = SchemeConfig(),
             if not np.isfinite(V[1]).all():
                 raise ConfigurationError(f"reference solution is non-finite at t={t:g}")
             np.subtract(V[1], V[0], V[2])
-        for (l2, h2), report in zip(series, _h2_reports(V, grid, problem.alpha)):
-            l2.append(report.l2)
-            h2.append(report.h2)
+        if h2:
+            for (l2s, h2s), report in zip(series, _h2_reports(V, grid, problem.alpha)):
+                l2s.append(report.l2)
+                h2s.append(report.h2)
+        else:       # the l2 rows of _h2_reports
+            for (l2s, _), l2_sq in zip(series, _sq_sums(_interior_block(V, grid), grid)):
+                l2s.append(math.sqrt(l2_sq))
         rec.times.append(t)
         while dump_left and t >= dump_left[0] - 0.25 * k:
             rec.snapshots[dump_left.pop(0)] = (t, Field(grid, values))

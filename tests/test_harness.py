@@ -96,6 +96,44 @@ def test_convergence_study_refuses_a_non_integer_level_before_any_level_runs(
         convergence_study(example1(), levels)
 
 
+@pytest.mark.parametrize("T", [-1.0, 0.0, float("nan"), float("inf")],
+                         ids=["-1", "0", "nan", "inf"])
+def test_convergence_study_refuses_a_bad_horizon_before_any_level_runs(monkeypatch, T):
+    # each level used to run only to fail, in a table of failed rows
+    from sobrlw import ConfigurationError, harness
+    monkeypatch.setattr(harness, "run", lambda *a, **kw: pytest.fail("a level ran"))
+    with pytest.raises(ConfigurationError, match=f"got T={T!r}"):
+        convergence_study(example1(), [2, 3], T=T)
+
+
+def test_cli_convergence_with_a_bad_horizon_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    argv = ["convergence", "--problem", "example1", "--levels", "2..3", "--T", "-1",
+            "--out", str(out)]
+    assert main(argv) == 2 and not out.exists()
+    assert "T must be a finite positive horizon" in capsys.readouterr().err
+
+
+def test_convergence_study_rows_are_those_of_runs_with_every_norm(monkeypatch):
+    # each level runs, as bound in sobrlw.harness, without the h2 norms;
+    # its row reads the same bits as a run that observes them
+    from sobrlw import harness
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", recording)
+    p = example1()
+    rows = convergence_study(p, [2, 3, 4], T=0.5)
+    assert [c.get("h2") for c in calls] == [False] * 3
+    for row in rows:
+        rec = run(p, make_grid(0, 1, 0, 1, 2 ** row.level), T=0.5)
+        assert (row.k, row.norm_u, row.norm_U, row.error) == (
+            rec.k, rec.sup_u, rec.sup_U, rec.sup_err)
+
+
 @pytest.mark.parametrize("M", [8.5, "8"], ids=["8.5", "str"])
 def test_verify_suite_refuses_a_non_integral_M(M):
     # M = 8.5 used to run M = 8 and report M = 8.5; "8" ended in a raw TypeError

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,6 +133,47 @@ def test_spec_rejects_degenerate_bounds(bounds):
     # make_grid refuses into a table of failed rows
     with pytest.raises(ConfigurationError, match="degenerate domain bounds"):
         manufactured(1.0, 0.0, 0.0, MANUFACTURED_PRESETS["trig"], bounds=bounds)
+
+
+@pytest.mark.parametrize("field, value", [("L1", -math.inf), ("L2", math.inf),
+                                          ("L3", -math.inf), ("L4", math.inf)],
+                         ids=["L1=-inf", "L2=inf", "L3=-inf", "L4=inf"])
+def test_spec_refuses_an_infinite_bound(field, value):
+    # 0 < inf passes the degenerate-bounds check; only a grid refused it
+    with pytest.raises(ConfigurationError, match=r"domain bounds must be finite, got .*inf"):
+        replace(example1(), **{field: value})
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan], ids=["0", "-1", "inf", "nan"])
+def test_spec_refuses_a_horizon_that_is_not_finite_and_positive(T):
+    with pytest.raises(ConfigurationError, match=f"got T={T!r}"):
+        replace(example1(), T=T)
+
+
+def _builtin_declared():
+    return {"example1": example1(), "example2": example2(),
+            **{name: get_problem(f"manufactured:{name}") for name in MANUFACTURED_PRESETS}}
+
+
+@pytest.mark.parametrize("name", list(_builtin_declared()))
+def test_sources_that_declare_no_derivative_do_not_read_it(name):
+    # the steppers pass None in place of UX and UY for these specs
+    p = _builtin_declared()[name]
+    assert p.sources_read_derivative is False
+    g = make_grid(p.L1, p.L2, p.L3, p.L4, 12)
+    (X, Y), s = g.open_mesh(), g.interior
+    X, Y = X[s], Y[:, s]
+    rng = np.random.default_rng(3)
+    U, D = rng.standard_normal((2, g.n_interior, g.n_interior))
+    for f in (p.f1, p.f2):
+        _assert_same_bits(f(X, Y, 0.3, U, None), f(X, Y, 0.3, U, D))
+
+
+def test_example3_and_a_default_spec_read_the_derivative():
+    assert example3().sources_read_derivative is True
+    spec = ProblemSpec(name="plain", alpha=1.0, beta=0.0, gamma=0.0,
+                       f1=None, f2=None, u0=None, g=None)
+    assert spec.sources_read_derivative is True
 
 
 @pytest.mark.parametrize("coeff", ["alpha", "beta", "gamma"])

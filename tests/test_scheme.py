@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,9 @@ from sobrlw import penta, scheme
 from sobrlw.harness import random_frame_vanishing
 from sobrlw.problems import MANUFACTURED_PRESETS
 from sobrlw.scheme import make_time_grid
-from sobrlw.stencils import Axis
+from sobrlw.stencils import Axis, wide_first_values
+
+from test_stencils import warm_peak
 
 from _oracles import (OBSERVED_SERIES, constrained_2d_solve,
                       directional_coeffs, directional_sums,
@@ -247,6 +250,38 @@ def test_sources_receive_interior_blocks(cfg):
         assert np.shape(U) == np.shape(UZ) == (n, n)
 
 
+def test_apply_sums_an_x_direction_over_whole_rows():
+    # along the strided U[:, s] numpy's ufunc loop added its 8,192-value
+    # buffer to each multiply: 2.53 interior blocks at M = 128; whole rows
+    # hold one accumulator and one scratch array of n x (M + 1), 2.07 blocks
+    g = make_grid(0, 1, 0, 1, 128)
+    eng = scheme._engine(example1(), g, CFG_SPLIT, time_step_rule(g.hx, g.hy))
+    (axis, _), = terms = eng._ops[Axis.X].rhs
+    U = np.random.default_rng(16).standard_normal((129, 129))
+    peak = warm_peak(lambda: eng._apply(U, terms))
+    assert axis is Axis.X and peak <= 2.2 * g.n_interior ** 2 * 8, peak / (g.n_interior ** 2 * 8)
+
+
+@pytest.mark.parametrize("cfg", [CFG_COUPLED, CFG_SPLIT], ids=["coupled", "split"])
+@pytest.mark.parametrize("make, reads", [
+    (example1, False), (example2, False),
+    (lambda: get_problem("manufactured:trig"), False), (example3, True),
+], ids=["example1", "example2", "manufactured:trig", "example3"])
+def test_the_wide_derivative_is_computed_only_for_sources_that_read_it(make, reads, cfg,
+                                                                        monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return wide_first_values(*args)
+
+    monkeypatch.setattr(scheme, "wide_first_values", counted)
+    p = make()
+    rec = run(p, make_grid(p.L1, p.L2, p.L3, p.L4, 8), cfg)
+    assert not rec.failed and (len(calls) > 0) is reads
+    assert p.sources_read_derivative is reads
+
+
 @pytest.mark.parametrize("k_rule", ["fast", None, [0.1], True, 0.0, -0.1, np.inf, np.nan],
                          ids=["str", "None", "list", "bool", "zero", "negative", "inf", "nan"])
 def test_scheme_config_refuses_a_k_rule_other_than_auto_or_a_positive_step(k_rule):
@@ -387,6 +422,18 @@ def test_run_refuses_a_dump_time_outside_0_T_before_stepping(t, monkeypatch):
 
     monkeypatch.setattr(scheme, "_engine", no_engine)
     with pytest.raises(ConfigurationError, match=r"outside \[0, T=1\]"):
+        run(example1(), make_grid(0, 1, 0, 1, 8), dump_times=[0.5, t])
+
+
+@pytest.mark.parametrize("t", ["a", "0.5", None, True], ids=["str", "numeric-str", "None", "bool"])
+def test_run_refuses_a_dump_time_that_is_not_a_real_number_before_stepping(t, monkeypatch):
+    # "a" used to end in float()'s raw ValueError, and True ran as t = 1
+    def no_engine(*args):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(scheme, "_engine", no_engine)
+    with pytest.raises(ConfigurationError,
+                       match="dump times must be real numbers, got " + re.escape(repr([t]))):
         run(example1(), make_grid(0, 1, 0, 1, 8), dump_times=[0.5, t])
 
 
@@ -747,6 +794,38 @@ def test_blow_up_is_named_at_its_level_before_any_overflow():
     assert rec.failure.startswith("BlowUpError") and "t=7.5" in rec.failure
     assert rec.times == [float(n) for n in range(8)]
     assert rec.sup_U == rec.l2_U[-1] > 1e70 and np.isfinite(rec.h2_err).all()
+
+
+def assert_same_run_without_h2(rec, ref):
+    """rec, run with h2=False, is ref bit for bit but for its empty h2 series."""
+    assert (rec.N, rec.k, rec.failed, rec.failure) == (ref.N, ref.k, ref.failed, ref.failure)
+    for name in ("times", "l2_U", "l2_u", "l2_err"):
+        got, want = getattr(rec, name), getattr(ref, name)
+        assert np.array(got).tobytes() == np.array(want).tobytes() and len(got) == len(want), name
+    assert rec.diagnostics.picard_iterations == ref.diagnostics.picard_iterations
+    assert (rec.final is None) == (ref.final is None)
+    if ref.final is not None:
+        assert rec.final.values.tobytes() == ref.final.values.tobytes()
+    assert ref.h2_U and rec.h2_U == rec.h2_u == rec.h2_err == []
+    assert rec.sup_h2_U == rec.sup_h2_u == rec.sup_h2_err == 0.0
+
+
+@pytest.mark.parametrize("cfg", [CFG_COUPLED, CFG_SPLIT], ids=["coupled", "split"])
+@pytest.mark.parametrize("make", [example1, lambda: replace(example1(), exact=None)],
+                         ids=["reference", "no-reference"])
+def test_a_run_without_h2_norms_changes_nothing_else(make, cfg):
+    p, g = make(), make_grid(0, 1, 0, 1, 8)
+    rec, ref = run(p, g, cfg, h2=False), run(p, g, cfg)
+    assert not ref.failed and bool(ref.l2_err) == (p.exact is not None)
+    assert_same_run_without_h2(rec, ref)
+
+
+def test_a_failed_run_without_h2_norms_keeps_the_l2_levels_before_the_failure():
+    p = sech2_wave(0.25)
+    g, cfg = make_grid(p.L1, p.L2, p.L3, p.L4, 16), SchemeConfig(k_rule=1.0)
+    rec, ref = run(p, g, cfg, T=16.0, h2=False), run(p, g, cfg, T=16.0)
+    assert rec.failure.startswith("BlowUpError") and len(rec.l2_U) == 8
+    assert_same_run_without_h2(rec, ref)
 
 
 @pytest.mark.parametrize("cfg", [CFG_COUPLED, CFG_SPLIT], ids=["coupled", "split"])
